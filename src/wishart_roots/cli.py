@@ -3,8 +3,7 @@
 Subcommands: cdf, pdf, table, hgm, mc, verify.  Output is CSV (17
 significant digits, header always) or JSON for verification reports.
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 verification
-failure.  A JSON config file may supply defaults; flags override.  The
-environment variable WISHART_ROOTS_THREADS caps grid parallelism.
+failure.  A JSON config file may supply defaults; flags override.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Sequence
 
 from . import distribution, hgm, mc_validator, operators
@@ -28,15 +25,6 @@ EXIT_VERIFY = 3
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WISHART_ROOTS_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return max(1, cap) if cap else 1
 
 
 def _parse_lambdas(text: str, m: int) -> List[float]:
@@ -173,37 +161,38 @@ def cmd_point(kind: str, args) -> int:
     return EXIT_OK
 
 
+def _grid(args) -> List[float]:
+    """The evenly spaced abscissas of --x-min, --x-max and --points."""
+    if args.points < 2 or args.x_max <= args.x_min:
+        raise ValueError("bad grid")
+    return [args.x_min + i * (args.x_max - args.x_min) / (args.points - 1)
+            for i in range(args.points)]
+
+
 def cmd_table(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
-    if args.points < 2 or args.x_max <= args.x_min:
-        print("bad grid", file=sys.stderr)
-        return EXIT_USAGE
-    xs = [args.x_min + i * (args.x_max - args.x_min) / (args.points - 1)
-          for i in range(args.points)]
+    xs = _grid(args)
     methods = ["quadrature", "series", "conjecture", "hgm"] if args.method == "all" else [args.method]
     if args.what == "cdf" and "conjecture" in methods:
         methods.remove("conjecture")
-
-    def work(x):
-        return [_eval_one(args.what, params, x, args, mth) for mth in methods]
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, xs))
-    else:
-        results = [work(x) for x in xs]
+    columns = []
+    for mth in methods:
+        if mth == "hgm":
+            # one march along the grid instead of a restart from x0 per point
+            rows = hgm.trajectory(params, xs, _cfg_from_args(args, mth),
+                                  what="R" if args.what == "pdf" else "F")
+            columns.append([row[3] for row in rows])
+        else:
+            columns.append([_eval_one(args.what, params, x, args, mth) for x in xs])
     print("x," + ",".join(f"{args.what}_{mth}" for mth in methods))
-    for x, vals in zip(xs, results):
+    for x, vals in zip(xs, zip(*columns)):
         print(_fmt(x) + "," + ",".join(_fmt(v) for v in vals))
     return EXIT_OK
 
 
 def cmd_hgm(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
-    xs = [args.x_min + i * (args.x_max - args.x_min) / (args.points - 1)
-          for i in range(args.points)]
-    rows = hgm.trajectory(params, xs)
+    rows = hgm.trajectory(params, _grid(args))
     dim = 3 ** args.m
     print("x," + ",".join(f"b{i}" for i in range(dim)) + ",R,psi")
     for x, values, R, psi in rows:

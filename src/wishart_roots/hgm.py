@@ -12,10 +12,22 @@ R (and the CDF determinant) are rational-function combinations of the
 tensor basis, obtained by reducing every determinant entry onto the basis
 and expanding multilinearly; integrating the ODE from a small series start
 and applying the extraction coefficients evaluates the density.
+
+For the integration the x-blocks are lowered once per noncentrality vector
+to float matrices: every entry of ``x_block(N)`` is a Laurent polynomial in
+x (monomial denominator), so the state derivative is
+
+    d/dx y = sum_k x^k K_k y,        k in {0, -1} for the blocks below,
+
+where K_k is the Kronecker sum over slots of the x^k parts of the blocks at
+each slot's lam.  One ``trajectory`` call marches the whole route: it builds
+the lowered system, the extraction coefficients and the front factor once
+and integrates through its abscissas in increasing order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import EvalConfig, WishartParams, _group_confluent
+from .distribution import EvalConfig, WishartParams, _front_factor, _group_confluent
 from .h_integrals import HIndex, b_atom, h_atom, h_eval, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .special_fn import hpg01
@@ -63,8 +75,8 @@ def lam_block(N: int) -> List[List[RatFunc]]:
 
 @dataclass
 class PfaffianSystem:
-    """Tensor-basis first-order system for (n, m); blocks are symbolic in
-    (x, lam) and evaluated per variable on demand."""
+    """Tensor-basis first-order system for (n, m); the symbolic x-blocks are
+    lowered to float matrices once per noncentrality vector."""
 
     n: int
     m: int
@@ -74,27 +86,55 @@ class PfaffianSystem:
             raise ValueError("requires n > m >= 1 so that N = n-m+1 > 1")
         self.N = self.n - self.m + 1
         self._xb = x_block(self.N)
-        self._lb = lam_block(self.N)
+        self._lowered: Dict[Tuple[float, ...], List[Tuple[int, np.ndarray]]] = {}
 
     @property
     def dim(self) -> int:
         return 3 ** self.m
 
-    def x_block_at(self, x: float, lam: float) -> np.ndarray:
-        return np.array([[c.eval([x, lam]) for c in row] for row in self._xb])
-
-    def lam_block_at(self, x: float, lam: float) -> np.ndarray:
-        return np.array([[c.eval([x, lam]) for c in row] for row in self._lb])
+    def lowered(self, lambdas: Sequence[float]) -> List[Tuple[int, np.ndarray]]:
+        """Pairs (k, K_k) with d/dx y = sum_k x^k K_k y at these lambdas."""
+        key = tuple(lambdas)
+        terms = self._lowered.get(key)
+        if terms is None:
+            per_slot = [_lower_block(self._xb, lam) for lam in key]
+            eye = np.eye(3)
+            terms = []
+            for k in sorted(set().union(*per_slot)):
+                K = np.zeros((self.dim, self.dim))
+                for slot, parts in enumerate(per_slot):
+                    if k in parts:
+                        factors = [eye] * self.m
+                        factors[slot] = parts[k]
+                        K += functools.reduce(np.kron, factors)
+                terms.append((k, K))
+            self._lowered[key] = terms
+        return terms
 
     def rhs(self, x: float, state: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-        """Kronecker-sum action of the per-variable x-blocks."""
-        t = state.reshape((3,) * self.m)
-        out = np.zeros_like(t)
-        for slot in range(self.m):
-            blk = self.x_block_at(x, lambdas[slot])
-            acted = np.tensordot(blk, np.moveaxis(t, slot, 0), axes=(1, 0))
-            out += np.moveaxis(acted, 0, slot)
-        return out.reshape(-1)
+        """Kronecker-sum action of the per-variable x-blocks,
+        sum_k x^k K_k state."""
+        out = np.zeros_like(state)
+        for k, K in self.lowered(lambdas):
+            out += K @ state if k == 0 else x ** k * (K @ state)
+        return out
+
+
+def _lower_block(block: List[List[RatFunc]], lam: float) -> Dict[int, np.ndarray]:
+    """Split a 3x3 block in (x, lam) with monomial denominators into float
+    matrices by power of x, at the given lam."""
+    parts: Dict[int, np.ndarray] = {}
+    for i, row in enumerate(block):
+        for j, entry in enumerate(row):
+            if len(entry.den.terms) != 1:
+                raise ValueError("x-block entry has a non-monomial denominator")
+            ((dx, dl), dc), = entry.den.terms.items()
+            for (ex, el), c in entry.num.terms.items():
+                k = ex - dx
+                if k not in parts:
+                    parts[k] = np.zeros((3, 3))
+                parts[k][i, j] += float(c / dc) * lam ** (el - dl)
+    return parts
 
 
 @dataclass
@@ -302,11 +342,14 @@ def _rat_det(mat: List[List[RatFunc]]) -> RatFunc:
     return total
 
 
-def extraction_vector_dx(params: WishartParams, coeffs: Dict[Idx, RatFunc]) -> Dict[Idx, RatFunc]:
+def extraction_vector_dx(
+    params: WishartParams, coeffs: Dict[Idx, RatFunc], N: int | None = None
+) -> Dict[Idx, RatFunc]:
     """Coefficients of d/dx applied to a basis combination: differentiate the
-    coefficients and push the x-block through the tensor slots."""
-    n, m = params.n, params.m
-    N = n - m + 1
+    coefficients and push the x-block (at basis level N, by default
+    n - m + 1) through the tensor slots."""
+    m = params.m
+    N = N if N is not None else params.n - m + 1
     nv = m + 1
     xb = x_block(N)
     out: Dict[Idx, RatFunc] = {}
@@ -348,7 +391,27 @@ def eval_extraction(
 # distribution values through the Pfaffian route
 # ---------------------------------------------------------------------------
 
-def _hgm_value(params: WishartParams, x: float, cfg: EvalConfig, what: str) -> float:
+def pdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
+    return trajectory(params, [x], cfg, what="R")[0][3]
+
+
+def cdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
+    return trajectory(params, [x], cfg, what="F")[0][3]
+
+
+def trajectory(
+    params: WishartParams,
+    xs: Sequence[float],
+    cfg: EvalConfig | None = None,
+    what: str = "R",
+) -> List[Tuple[float, np.ndarray, float, float]]:
+    """March once through the abscissas in increasing order; returns
+    (x, basis values, extraction value, distribution value) per abscissa.
+
+    ``what`` is "R" for the density psi = front * R, "F" for the CDF
+    front * det, clamped to [0, 1].  Abscissas x <= 0 give zeros.
+    """
+    cfg = cfg or EvalConfig()
     n, m = params.n, params.m
     if n == m:
         raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
@@ -357,57 +420,20 @@ def _hgm_value(params: WishartParams, x: float, cfg: EvalConfig, what: str) -> f
         raise ValueError("the HGM route requires distinct noncentrality eigenvalues")
     if any(v == 0.0 for v in params.lambdas):
         raise ValueError("the HGM route requires positive noncentrality eigenvalues")
-    if x <= 0:
-        return 0.0
-    sys = PfaffianSystem(n, m)
-    x0 = min(cfg.hgm_x0, x)
-    state = initial_state(params, x0, cfg)
-    state = hgm_integrate(sys, state, x, params.lambdas, cfg)
-    coeffs = extraction_vector(params, what=what)
-    value = eval_extraction(coeffs, state, params.lambdas, m)
-    lam_sum = sum(params.lambdas)
-    vdm = 1.0
-    for a in range(m):
-        for b in range(a + 1, m):
-            vdm *= params.lambdas[a] - params.lambdas[b]
-    return math.exp(-lam_sum) / (math.factorial(n - m) ** m * vdm) * value
-
-
-def pdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    cfg = cfg or EvalConfig()
-    return _hgm_value(params, x, cfg, "R")
-
-
-def cdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    cfg = cfg or EvalConfig()
-    val = _hgm_value(params, x, cfg, "F")
-    return min(max(val, 0.0), 1.0)
-
-
-def trajectory(
-    params: WishartParams,
-    xs: Sequence[float],
-    cfg: EvalConfig | None = None,
-) -> List[Tuple[float, np.ndarray, float, float]]:
-    """March through increasing abscissas; returns (x, basis values, R, psi)."""
-    cfg = cfg or EvalConfig()
-    n, m = params.n, params.m
-    sys = PfaffianSystem(n, m)
-    coeffs = extraction_vector(params, what="R")
-    lam_sum = sum(params.lambdas)
-    vdm = 1.0
-    for a in range(m):
-        for b in range(a + 1, m):
-            vdm *= params.lambdas[a] - params.lambdas[b]
-    front = math.exp(-lam_sum) / (math.factorial(n - m) ** m * vdm)
     xs = sorted(xs)
-    x0 = min(cfg.hgm_x0, xs[0])
-    state = initial_state(params, x0, cfg)
-    out = []
+    out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
+    xs = xs[len(out):]
+    if not xs:
+        return out
+    sys = PfaffianSystem(n, m)
+    coeffs = extraction_vector(params, what=what)
+    front = _front_factor(params, groups)
+    state = initial_state(params, min(cfg.hgm_x0, xs[0]), cfg)
     for x in xs:
         state = hgm_integrate(sys, state, x, params.lambdas, cfg)
-        R = eval_extraction(coeffs, state, params.lambdas, m)
-        out.append((x, state.values.copy(), R, front * R))
+        value = eval_extraction(coeffs, state, params.lambdas, m)
+        dist = front * value if what == "R" else min(max(front * value, 0.0), 1.0)
+        out.append((x, state.values.copy(), value, dist))
     return out
 
 
@@ -436,7 +462,7 @@ def m2_paper_products_extraction(n: int) -> Tuple[List[RatFunc], List[RatFunc]]:
     """
     params = WishartParams(n, 2, (2.0, 1.0))  # lambdas irrelevant for symbols
     base = extraction_vector(params, target_N=n, what="R")
-    dx = extraction_vector_dx_at_N(params, base, n)
+    dx = extraction_vector_dx(params, base, N=n)
     # the printed derivative is the gauged D_x = d/dx + 1 - (n-2)/x used
     # throughout the rank-8 discussion, not the bare d/dx
     shift = _rf_nv3({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-(n - 2))},
@@ -456,38 +482,6 @@ def _rf_nv3(num_terms, den_terms=None) -> RatFunc:
     num = MPoly(3, {e: Fraction(c) for e, c in num_terms.items()})
     den = MPoly(3, {e: Fraction(c) for e, c in den_terms.items()}) if den_terms else None
     return RatFunc(num, den)
-
-
-def extraction_vector_dx_at_N(
-    params: WishartParams, coeffs: Dict[Idx, RatFunc], N: int
-) -> Dict[Idx, RatFunc]:
-    """Like extraction_vector_dx but with blocks at an explicit basis level."""
-    m = params.m
-    nv = m + 1
-    xb = x_block(N)
-    out: Dict[Idx, RatFunc] = {}
-
-    def add(alpha: Idx, val: RatFunc):
-        if val.is_zero():
-            return
-        cur = out.get(alpha)
-        s = val if cur is None else cur + val
-        if s.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-
-    for beta, c in coeffs.items():
-        add(beta, c.diff(0))
-        for slot in range(m):
-            for target_a in range(3):
-                blk = xb[beta[slot]][target_a]
-                if blk.is_zero():
-                    continue
-                alpha = list(beta)
-                alpha[slot] = target_a
-                add(tuple(alpha), c * _subst_y(blk, nv, 1 + slot))
-    return out
 
 
 def _to_paper_products(coeffs: Dict[Idx, RatFunc], n: int) -> List[RatFunc]:

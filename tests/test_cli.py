@@ -69,18 +69,27 @@ class TestTable:
         assert len(vals) == 12
         assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
-    def test_parallel_matches_serial(self, capsys, monkeypatch):
-        args = ("table", "--n", "3", "--m", "2", "--lambda", "1.5,0.5",
-                "--x-min", "1", "--x-max", "4", "--points", "6", "--what", "pdf")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("WISHART_ROOTS_THREADS", "3")
-        _, parallel, _ = run_cli(capsys, *args)
-        assert serial == parallel
-
     def test_bad_grid(self, capsys):
-        code, _, _ = run_cli(capsys, "table", "--n", "3", "--m", "1", "--lambda", "1",
-                             "--x-min", "2", "--x-max", "1", "--points", "4")
+        code, _, err = run_cli(capsys, "table", "--n", "3", "--m", "1", "--lambda", "1",
+                               "--x-min", "2", "--x-max", "1", "--points", "4")
         assert code == 1
+        assert "bad grid" in err
+
+    @pytest.mark.parametrize("what", ["pdf", "cdf"])
+    def test_hgm_sweep_matches_point_calls(self, capsys, what):
+        from wishart_roots import hgm
+        from wishart_roots.distribution import EvalConfig, WishartParams
+
+        code, out, _ = run_cli(capsys, "table", "--n", "4", "--m", "2", "--lambda", "2,1",
+                               "--x-min", "0.5", "--x-max", "20", "--points", "7",
+                               "--what", what, "--method", "hgm")
+        assert code == 0
+        p = WishartParams(4, 2, (2.0, 1.0))
+        point = hgm.pdf_hgm if what == "pdf" else hgm.cdf_hgm
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 7
+        for x, value in rows:
+            assert float(value) == pytest.approx(point(p, float(x), EvalConfig()), rel=1e-8)
 
 
 class TestHgmDump:
@@ -92,6 +101,23 @@ class TestHgmDump:
         assert lines[0].startswith("x,b0,b1,") and lines[0].endswith(",R,psi")
         assert len(lines) == 4
         assert len(lines[1].split(",")) == 1 + 9 + 2
+
+    @pytest.mark.parametrize("grid", [("--points", "1"), ("--x-min", "3", "--x-max", "1")])
+    def test_bad_grid(self, capsys, grid):
+        argv = ["hgm", "--n", "4", "--m", "2", "--lambda", "2,1", "--x-max", "3"] + list(grid)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "bad grid" in err and out == ""
+
+    def test_psi_matches_table_sweep(self, capsys):
+        common = ("--n", "4", "--m", "2", "--lambda", "2,1",
+                  "--x-min", "0.5", "--x-max", "20", "--points", "9")
+        _, dump, _ = run_cli(capsys, "hgm", *common)
+        _, table, _ = run_cli(capsys, "table", *common, "--method", "hgm", "--what", "pdf")
+        psi = [float(ln.split(",")[-1]) for ln in dump.strip().splitlines()[1:]]
+        pdf = [float(ln.split(",")[1]) for ln in table.strip().splitlines()[1:]]
+        assert len(psi) == len(pdf) == 9
+        assert psi == pytest.approx(pdf, rel=1e-8)
 
 
 class TestMc:

@@ -80,10 +80,35 @@ class TestBlocks:
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)
 
 
+def symbolic_rhs(N, m, x, state, lambdas):
+    """Reference: the Kronecker-sum action with every block entry evaluated
+    from its RatFunc."""
+    t = state.reshape((3,) * m)
+    out = np.zeros_like(t)
+    for slot in range(m):
+        blk = eval_mat(x_block(N), x, lambdas[slot])
+        acted = np.tensordot(blk, np.moveaxis(t, slot, 0), axes=(1, 0))
+        out += np.moveaxis(acted, 0, slot)
+    return out.reshape(-1)
+
+
 class TestSystem:
     def test_requires_n_above_m(self):
         with pytest.raises(ValueError):
             PfaffianSystem(2, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_lowered_rhs_matches_symbolic(self, m, N):
+        sys = PfaffianSystem(N + m - 1, m)
+        rng = np.random.default_rng(1000 * m + N)
+        for lambdas in [(0.0,) * m, (3.0, 1.5, 0.0)[:m], (7.25, 2.0, 0.5)[:m]]:
+            for x in (0.1, 1.7, 40.0, 150.0):
+                state = rng.standard_normal(3 ** m)
+                ref = symbolic_rhs(N, m, x, state, lambdas)
+                got = sys.rhs(x, state, lambdas)
+                # float64 rounding of a few products and sums per entry
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_initial_state_matches_quadrature(self):
         p = WishartParams(4, 1, (1.0,))
