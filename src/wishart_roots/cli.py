@@ -14,7 +14,7 @@ import math
 import sys
 from typing import List, Sequence
 
-from . import distribution, hgm, mc_validator, operators
+from . import distribution, h_integrals, hgm, mc_validator, operators
 from .distribution import EvalConfig, WishartParams
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def _apply_config_defaults(argv: Sequence[str], ap: argparse.ArgumentParser):
 
 
 def _cfg_from_args(args, method: str) -> EvalConfig:
-    cfg = EvalConfig(method=method, rtol=args.tol, hgm_rtol=min(args.tol, 1e-10))
+    cfg = EvalConfig(method=method, hgm_rtol=min(args.tol, 1e-10))
     if args.order is not None:
         cfg.series_order = args.order
     elif args.m >= 3:
@@ -192,7 +192,7 @@ def cmd_table(args) -> int:
 
 def cmd_hgm(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
-    rows = hgm.trajectory(params, _grid(args))
+    rows = hgm.trajectory(params, _grid(args), _cfg_from_args(args, "hgm"))
     dim = 3 ** args.m
     print("x," + ",".join(f"b{i}" for i in range(dim)) + ",R,psi")
     for x, values, R, psi in rows:
@@ -225,53 +225,10 @@ def cmd_verify(args) -> int:
         if args.m in (2, 3):
             reports += operators.verify_printed(args.n, args.m, args.order)
     if args.target in ("recurrences", "all"):
-        reports.append(_verify_recurrences())
+        reports.append(h_integrals.verify_recurrences())
     ok = all(r["pass"] for r in reports)
     print(json.dumps(reports, indent=2))
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _verify_recurrences() -> dict:
-    from .h_integrals import HIndex, h_eval, lemma_lhs_index, rec_lemma1, rec_lemma2, rec_lemma3, rec_lemma45
-
-    grid = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.5, 2.0)]
-    failures = 0
-    checks = 0
-    for variant, fn, idxs in [
-        ("rec3", rec_lemma1, [(k, 0, n) for k in (1, 2) for n in (2, 3)]),
-        ("recip", rec_lemma1, [(k, 0, n) for k in (1, 2) for n in (2, 3)]),
-        ("rechd", rec_lemma1, [(k, 0, n) for k in (1, 2) for n in (2, 3)]),
-        ("shift_n", rec_lemma2, [(k, 0, n) for k in (1, 2) for n in (2, 3)]),
-        ("shift_k", rec_lemma2, [(k, 0, n) for k in (1, 2) for n in (2, 3)]),
-        ("hklnx", rec_lemma45, [(1, 1, 2), (2, 1, 3)]),
-        ("hklnr", rec_lemma45, [(1, 1, 2), (2, 1, 3)]),
-        ("hklni", rec_lemma45, [(1, 1, 2), (2, 1, 3)]),
-        ("hklrecu", rec_lemma45, [(1, 1, 2), (2, 1, 3)]),
-        ("hklrecu2", rec_lemma45, [(1, 1, 2), (2, 2, 3)]),
-    ]:
-        for (k, ell, n) in idxs:
-            idx = HIndex(k, ell, n)
-            combo = fn(variant, idx)
-            lhs = lemma_lhs_index(variant, idx)
-            for (x, y) in grid:
-                checks += 1
-                lv = h_eval(lhs, x, y)
-                rv = combo.eval(x, y)
-                if abs(lv - rv) > 1e-10 * max(abs(lv), abs(rv), 1.0):
-                    failures += 1
-    for variant in ("simrec1", "simrec2", "hrecg"):
-        for n in (2, 3, 4):
-            combo = rec_lemma3(variant, n)
-            lhs = {"simrec1": HIndex(n - 1, 0, n - 1), "simrec2": HIndex(n, 0, n),
-                   "hrecg": HIndex(n, 0, n + 1)}[variant]
-            for (x, y) in grid:
-                checks += 1
-                lv = h_eval(lhs, x, y)
-                rv = combo.eval(x, y)
-                if abs(lv - rv) > 1e-10 * max(abs(lv), abs(rv), 1.0):
-                    failures += 1
-    return {"check": "recurrences", "params": {"checks": checks},
-            "max_residual_terms": failures, "pass": failures == 0}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,9 +2,9 @@
 
 Routes
 ------
-quadrature : the determinantal CDF formula with H-integral entries (entries
-             by term-wise gamma series or by adaptive quadrature), and its
-             x-derivative cofactor expansion for the density.
+quadrature : the determinantal CDF formula with H-integral entries (by
+             their term-wise gamma series), and its x-derivative cofactor
+             expansion for the density.
 series     : evaluation of the exact truncated lam-series (fast and robust
              for small noncentrality; symmetric, so confluent lam's are
              free).
@@ -13,23 +13,24 @@ conjecture : the determinantal closed form built from hpg01 and the
 hgm        : Pfaffian ODE integration (in wishart_roots.hgm; dispatched
              from here).
 
-Repeated noncentrality eigenvalues are handled by replacing the rows (or
-columns) of a confluent group with derivative rows f, f'/1!, f''/2!, ...,
-with the cross-group Vandermonde only in the denominator and the sign
-(-1)^{r(r-1)/2} per size-r group from reordering the limit rows.
+Every determinant over the eigenvalues is the determinant of divided
+differences f_j[lam_1..lam_i] (``divided_rows``), summed as power series with
+nonnegative weights, so nothing is divided by the Vandermonde and repeated,
+clustered and zero eigenvalues need no special case and no threshold.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .h_integrals import HIndex, h_eval
 from .series_engine import LambdaSeries, build_psi_series, cdf_det_expansion, schur_poly
-from .special_fn import hpg01, pochhammer
+from .special_fn import MAX_TERMS, hpg01, incomplete_gamma, pochhammer
 
 
 class NumericFailure(ArithmeticError):
@@ -60,38 +61,10 @@ class WishartParams:
 @dataclass
 class EvalConfig:
     method: str = "quadrature"
-    confluence_threshold: float = 1e-5
     series_order: int = 20
-    rtol: float = 1e-10
-    h_entry_method: str = "series"  # "series" or "quad" for determinant entries
-    hgm_x0: float = 0.5
     hgm_rtol: float = 1e-10
     hgm_atol: float = 1e-13
     experimental_m4: bool = False
-
-    def __post_init__(self):
-        if self.confluence_threshold <= 0:
-            raise ValueError("confluence_threshold must be positive")
-
-
-def _group_confluent(lambdas: Sequence[float], threshold: float) -> List[Tuple[float, int]]:
-    """Cluster the (descending) eigenvalues into confluent groups of
-    (representative value, multiplicity)."""
-    scale = 1.0 + max(lambdas, default=0.0)
-    groups: List[List[float]] = []
-    for v in lambdas:
-        if groups and abs(groups[-1][-1] - v) < threshold * scale:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [(sum(g) / len(g), len(g)) for g in groups]
-
-
-def _xk_emx(x: float, k: int) -> float:
-    """x^k e^{-x}, overflow-safe for large x."""
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(x) - x)
 
 
 def _det(mat: List[List[float]]) -> float:
@@ -115,49 +88,84 @@ def _det(mat: List[List[float]]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# divided-difference determinants
+# ---------------------------------------------------------------------------
+
+def divided_rows(columns: Sequence[Callable[[float], Iterator[float]]],
+                 lambdas: Sequence[float]) -> List[List[float]]:
+    """Divided differences f_c[lam_1..lam_i] (row i = 1..m, lam ascending) of
+    power series f_c(y) = sum_l c_l y^l, one column per series: row i is
+    sum_l c_l h_{l-i+1}(lam_1..lam_i), h_r the complete homogeneous polynomials.
+
+    det(rows) is symmetric in lam; for descending lam
+    det(f_c(lam_i)) = (-1)^{m(m-1)/2} prod_{a<b} (lam_a - lam_b) det(rows).
+    Ascending, row i is dominated by lam_i, so fast-growing series lose no
+    digits in the determinant.  Each column is called with s = max(lam, 1) and
+    yields c_l s^l; h runs on lam/s and row i is divided by s^{i-1}, so every
+    term stays in float range.  A column is summed until it ends or until, at
+    two consecutive l, each row's term is below 1e-17 of its sum of |terms|.
+    """
+    m = len(lambdas)
+    s = max(max(lambdas), 1)
+    mu = [v / s for v in sorted(lambdas)]
+    hs = [[1] * m]  # hs[r][i] = h_r(mu_1..mu_{i+1})
+    rows = [[0] * len(columns) for _ in range(m)]
+    for c, column in enumerate(columns):
+        mags = [0.0] * m
+        quiet = 0
+        for l, coef in enumerate(column(s)):
+            if l == MAX_TERMS:
+                raise NumericFailure("divided-difference series did not converge")
+            if l == len(hs):  # h_r(mu_1..mu_i) = sum_{t<=i} mu_t h_{r-1}(mu_1..mu_t)
+                hs.append(list(itertools.accumulate(u * h for u, h in zip(mu, hs[-1]))))
+            small = l >= m - 1
+            for i in range(min(l + 1, m)):
+                t = coef * hs[l - i][i]
+                rows[i][c] += t
+                mags[i] += abs(t)
+                small = small and abs(t) <= 1e-17 * mags[i]
+            quiet = quiet + 1 if small else 0
+            if quiet == 2:
+                break
+    return [[v / s ** i for v in row] for i, row in enumerate(rows)]
+
+
+def _front_factor(params: WishartParams) -> float:
+    """(-1)^{m(m-1)/2} e^{-sum lam} / (n-m)!^m, the factor of det(divided_rows)."""
+    n, m = params.n, params.m
+    return (-1) ** (m * (m - 1) // 2) * math.exp(-sum(params.lambdas)) / math.factorial(n - m) ** m
+
+
+def _h_series(k: int, N: int, x: float, s: float) -> Iterator[float]:
+    """Coefficients of H^k_N(x, y) = sum_l gamma(k+l+1, x) y^l / ((N)_l l!), times s^l."""
+    t = 1.0
+    for l in itertools.count():
+        if l:
+            t *= s / ((N + l - 1) * l)
+        yield incomplete_gamma(k + l + 1, x) * t
+
+
+def _hpg01_series(nu: int, x: float, s: float) -> Iterator[float]:
+    """Coefficients of e^{-x} hpg01(nu; x y) = e^{-x} sum_l (x y)^l / ((nu)_l l!), times s^l."""
+    t = math.exp(-x)
+    for l in itertools.count():
+        if l:
+            t *= x * s / ((nu + l - 1) * l)
+        yield t
+
+
+# ---------------------------------------------------------------------------
 # quadrature route (the determinantal formula itself)
 # ---------------------------------------------------------------------------
 
-def _h_entry(k: int, N: int, d: int, x: float, y: float, method: str) -> float:
-    """d-th y-derivative of H^k_N(x, y) divided by d!:
-    H^{k+d}_{N+d}(x, y) / ((N)_d d!)."""
-    val = h_eval(HIndex(k + d, 0, N + d), x, y, method=method)
-    return val / (pochhammer(N, d) * math.factorial(d))
-
-
-def _h_entry_dx(k: int, N: int, d: int, x: float, y: float) -> float:
-    """x-derivative of the same entry: x^{k+d} e^{-x} hpg01(N+d; x y) / ((N)_d d!)."""
-    return _xk_emx(x, k + d) * hpg01(N + d, x * y) / (pochhammer(N, d) * math.factorial(d))
-
-
-def _front_factor(params: WishartParams, groups: List[Tuple[float, int]]) -> float:
-    n, m = params.n, params.m
-    lam_sum = sum(params.lambdas)
-    vdm = 1.0
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            vdm *= (groups[a][0] - groups[b][0]) ** (groups[a][1] * groups[b][1])
-    sign = 1.0
-    for _, r in groups:
-        if (r * (r - 1) // 2) % 2 == 1:
-            sign = -sign
-    denom = math.factorial(n - m) ** m * vdm
-    return sign * math.exp(-lam_sum) / denom
-
-
 def cdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
     n, m = params.n, params.m
-    N = n - m + 1
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    rows = []
-    for v, r in groups:
-        for d in range(r):
-            rows.append([_h_entry(n - j, N, d, x, v, cfg.h_entry_method) for j in range(1, m + 1)])
-    val = _front_factor(params, groups) * _det(rows)
+    columns = [functools.partial(_h_series, n - j, n - m + 1, x) for j in range(1, m + 1)]
+    val = _front_factor(params) * _det(divided_rows(columns, params.lambdas))
     return min(max(val, 0.0), 1.0)
 
 
@@ -168,30 +176,24 @@ def pdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0 if not (n == m == 1) else math.exp(-sum(params.lambdas))
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    rows = []
-    rows_dx = []
-    for v, r in groups:
-        for d in range(r):
-            rows.append([_h_entry(n - j, N, d, x, v, cfg.h_entry_method) for j in range(1, m + 1)])
-            rows_dx.append([_h_entry_dx(n - j, N, d, x, v) for j in range(1, m + 1)])
-    total = 0.0
-    for rho in range(len(rows)):
-        mat = [rows_dx[i] if i == rho else rows[i] for i in range(len(rows))]
-        total += _det(mat)
-    return _front_factor(params, groups) * total
+    columns = [functools.partial(_h_series, n - j, N, x) for j in range(1, m + 1)]
+    columns.append(functools.partial(_hpg01_series, N, x))
+    # d/dx H^{n-j}_N(x, y) = x^{n-j} e^{-x} hpg01(N; x y), the last column: the sum
+    # of the determinants with one row differentiated is minus the bordered one
+    border = [x ** (n - j) for j in range(1, m + 1)] + [0.0]
+    return -_front_factor(params) * _det(divided_rows(columns, params.lambdas) + [border])
 
 
 # ---------------------------------------------------------------------------
 # series route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def _psi_series_cached(n: int, m: int, order: int) -> LambdaSeries:
     return build_psi_series(n, m, order)
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def _cdf_sym_series_cached(n: int, m: int, order: int) -> LambdaSeries:
     """CDF determinant / Vandermonde as a symmetric series (no front factor)."""
     expansion = cdf_det_expansion(n, m, order + m)
@@ -222,8 +224,6 @@ def cdf_series(params: WishartParams, x: float, cfg: EvalConfig) -> float:
 def pdf_series(params: WishartParams, x: float, cfg: EvalConfig) -> float:
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        x = 0.0
     s = _psi_series_cached(params.n, params.m, cfg.series_order)
     return s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas))
 
@@ -262,9 +262,6 @@ class Jet:
         return Jet(out)
 
     __rmul__ = __mul__
-
-    def deriv(self, times: int = 1) -> "Jet":
-        return Jet(self.d[times:])
 
     def value(self) -> float:
         return self.d[0]
@@ -329,8 +326,6 @@ def jet_h0_weighted(N: int, x: float, y: float, K: int) -> Jet:
 
 def eq35_value(n: int, x: float) -> float:
     """int_0^inf e^{-t} hpg01(n+1; x t) dt = n x^{-n} e^x gamma(n, x)."""
-    from .special_fn import incomplete_gamma
-
     return n * math.exp(x - n * math.log(x)) * incomplete_gamma(n, x)
 
 
@@ -404,14 +399,6 @@ def g_function(n: int, m_level: int, x: float, y: float) -> float:
     return g_jet(n, m_level, x, y, 0).value()
 
 
-def q_apply_jet(N: int, M: int, x: float, f: Jet) -> float:
-    """Q_{N,M}[y] f at the jet's base point: y f''' + (M-y+2) f'' - (x+N+1) f' + x f.
-
-    The jet must carry y at slot y-value via its own base; pass the y used
-    to build the jet explicitly instead."""
-    raise NotImplementedError("use q_residual")
-
-
 def q_residual(N: int, M: int, x: float, y: float, f: Jet) -> float:
     """Residual of Q_{N,M}[y] applied to a jet built at (x, y); needs order >= 3."""
     if f.order < 3:
@@ -430,81 +417,92 @@ def p_residual(M: int, x: float, y: float, f: Jet) -> float:
 # conjecture route
 # ---------------------------------------------------------------------------
 
+def g_series(n: int, m_level: int, x: float, s: float) -> Iterator[float]:
+    """Coefficients g_l s^l of e^{-x} G_{n, m_level}(x, y) = sum_l g_l y^l.
+
+    Level 2 is e^{-x} (n A + y B + (x-n+1-y) W) with A = hpg01(n; xy),
+    B = hpg01(n+1; xy) and W = sum_i y^i/i! sum_{k>=i} x^k/((n+1)_k).  Higher
+    levels apply the raising recursion of g_jet,
+    g'_j = (x+l) g_j - (j+1)(j+n-l+1) g_{j+1}.
+    """
+    if n < m_level:
+        raise ValueError("requires n >= m_level")
+    coeffs = _g2_series(n, x, s)
+    for level in range(2, m_level):
+        coeffs = _raised(coeffs, n, level, x, s)
+    return coeffs
+
+
+def _g2_series(n: int, x: float, s: float) -> Iterator[float]:
+    # e^{-x} x^k / (n+1)_k, summed downward into the tails of W, until it and
+    # its scaled terms x^k s^k / ((n+1)_k k!) are past their peaks and negligible
+    u, f = [math.exp(-x)], 1.0  # f = s^k / k!
+    total = peak = u[0]
+    while len(u) <= x or u[-1] > 1e-17 * total or u[-1] * f > 1e-17 * peak:
+        f *= s / len(u)
+        u.append(u[-1] * x / (n + len(u)))
+        total += u[-1]
+        peak = max(peak, u[-1] * f)
+    tails = list(itertools.accumulate(reversed(u)))[::-1]
+    a = b = math.exp(-x)  # e^{-x} (xs)^i / ((n)_i i!), the same over (n+1)_i
+    b_prev = w_prev = 0.0
+    f = 1.0
+    for i in itertools.count():
+        if i:
+            a *= x * s / ((n + i - 1) * i)
+            b_prev, b = b, b * x * s / ((n + i) * i)
+            f *= s / i
+        w = f * tails[i] if i < len(tails) else 0.0
+        yield n * a + s * b_prev + (x - n + 1) * w - s * w_prev
+        w_prev = w
+
+
+def _raised(coeffs: Iterator[float], n: int, level: int, x: float, s: float) -> Iterator[float]:
+    prev = next(coeffs)
+    for j, cur in enumerate(coeffs):
+        yield (x + level) * prev - (j + 1) * (j + n - level + 1) * cur / s
+        prev = cur
+
+
+def _conjecture_power(n: int, m: int, x: float) -> float:
+    """C(x) e^{mx} = (n-m+1) x^{mn - m(m-1)/2 - 1} / prod_k (n-k+1)^k."""
+    denom = math.prod(float(n - k + 1) ** k for k in range(1, m + 1))
+    return (n - m + 1) * x ** (m * n - m * (m - 1) // 2 - 1) / denom
+
+
 def conjecture_front_factor(n: int, m: int, x: float) -> float:
     """C(x) = (n-m+1) x^{mn - m(m-1)/2 - 1} e^{-mx} / prod_k (n-k+1)^k."""
-    denom = 1.0
-    for k in range(1, m + 1):
-        denom *= float(n - k + 1) ** k
-    power = m * n - m * (m - 1) // 2 - 1
-    return (n - m + 1) * math.exp(power * math.log(x) - m * x) / denom
-
-
-def conjecture_R(params: WishartParams, x: float, cfg: EvalConfig) -> float:
-    """R_{n,m} via the conjectured determinant of hpg01 / G-function columns."""
-    n, m = params.n, params.m
-    if m > 4:
-        raise ValueError("conjecture route implemented for m <= 4")
-    if m == 4 and not cfg.experimental_m4:
-        raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    cols = []
-    for v, r in groups:
-        jets = [jet_0f1(n - m + 1, x, v, r - 1)]
-        for j in range(2, m + 1):
-            jets.append(g_jet(n - m + j, j, x, v, r - 1))
-        for d in range(r):
-            cols.append([jets[row].d[d] / math.factorial(d) for row in range(m)])
-    # cols currently lists columns; transpose into rows for the determinant
-    mat = [[cols[c][r] for c in range(m)] for r in range(m)]
-    sign = 1.0
-    for _, r in groups:
-        if (r * (r - 1) // 2) % 2 == 1:
-            sign = -sign
-    return conjecture_front_factor(n, m, x) * sign * _det(mat)
+    return _conjecture_power(n, m, x) * math.exp(-m * x)
 
 
 def pdf_conjecture(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+    """psi_{n,m} = C(x) e^{-sum lam} / ((n-m)!^m V(lam))
+    * det(hpg01(n-m+1; x lam_i); G_{n-m+j, j}(x, lam_i)), proved for m = 2, 3
+    and conjectured beyond.  Each row carries one e^{-x} of C(x), which keeps
+    the entries in float range for x up to a few hundred."""
     n, m = params.n, params.m
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return pdf_quadrature(params, x, cfg)
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    lam_sum = sum(params.lambdas)
-    vdm = 1.0
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            vdm *= (groups[a][0] - groups[b][0]) ** (groups[a][1] * groups[b][1])
-    denom = math.factorial(n - m) ** m * vdm
-    return math.exp(-lam_sum) / denom * conjecture_R(params, x, cfg)
+    if m > 4:
+        raise ValueError("conjecture route implemented for m <= 4")
+    if m == 4 and not cfg.experimental_m4:
+        raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
+    columns = [functools.partial(_hpg01_series, n - m + 1, x)]
+    columns += [functools.partial(g_series, n - m + j, j, x) for j in range(2, m + 1)]
+    rows = divided_rows(columns, params.lambdas)
+    return _front_factor(params) * _conjecture_power(n, m, x) * _det(rows)
 
 
 def pdf_m2_closed(params: WishartParams, x: float) -> float:
-    """The proved m = 2 closed form:
+    """The proved m = 2 closed form, the m = 2 case of pdf_conjecture:
 
     psi_{n,2} = x^{2n-2} e^{-lam1-lam2-2x} / (n! (n-2)! (lam1-lam2))
-                * det( hpg01(n-1; x lam_i) ; G_{n,2}(x, lam_i) ).
-    """
+                * det( hpg01(n-1; x lam_i) ; G_{n,2}(x, lam_i) )."""
     if params.m != 2:
         raise ValueError("m = 2 only")
-    n = params.n
-    cfg = EvalConfig()
-    l1, l2 = params.lambdas
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    front = math.exp((2 * n - 2) * math.log(x) - l1 - l2 - 2 * x) / (
-        math.factorial(n) * math.factorial(n - 2)
-    )
-    if len(groups) == 2:
-        mat = [
-            [hpg01(n - 1, x * l1), hpg01(n - 1, x * l2)],
-            [g_function(n, 2, x, l1), g_function(n, 2, x, l2)],
-        ]
-        return front / (l1 - l2) * _det(mat)
-    v = groups[0][0]
-    top = jet_0f1(n - 1, x, v, 1)
-    bot = g_jet(n, 2, x, v, 1)
-    mat = [[top.d[0], top.d[1]], [bot.d[0], bot.d[1]]]
-    return -front * _det(mat)
+    return pdf_conjecture(params, x, EvalConfig())
 
 
 # ---------------------------------------------------------------------------

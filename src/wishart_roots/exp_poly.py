@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Term = Tuple[int, int]  # (power of x, power of E); x-power may be negative
 
@@ -214,10 +214,6 @@ class ExpPoly:
         finally:
             ctx.prec = old
 
-    def eval_exact_at_one(self) -> Fraction:
-        """Value at x = 1 with E treated as a formal unit (testing hook)."""
-        return sum(self.terms.values(), Fraction(0))
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -269,10 +265,3 @@ def incomplete_gamma_exact(a: int) -> ExpPoly:
     for k in range(1, a):
         g = g.scale(k) - ExpPoly.term(1, k, 1)
     return g
-
-
-def exppoly_sum(items: Iterable[ExpPoly]) -> ExpPoly:
-    total = ExpPoly.zero()
-    for v in items:
-        total = total + v
-    return total

@@ -437,6 +437,35 @@ def lemma_lhs_index(variant: str, idx: HIndex) -> HIndex:
     return table[variant]
 
 
+def verify_recurrences() -> dict:
+    """Check every printed recurrence numerically on a small (x, y) grid,
+    comparing each combination with the H-function it expresses."""
+    contiguous = [HIndex(k, 0, n) for k in (1, 2) for n in (2, 3)]  # lemmas 1 and 2
+    two_exponent = [HIndex(1, 1, 2), HIndex(2, 1, 3)]  # lemmas 4 and 5
+    cases = []
+    for fn, variants, idxs in [
+        (rec_lemma1, ("rec3", "recip", "rechd"), contiguous),
+        (rec_lemma2, ("shift_n", "shift_k"), contiguous),
+        (rec_lemma45, ("hklnx", "hklnr", "hklni", "hklrecu"), two_exponent),
+        (rec_lemma45, ("hklrecu2",), [HIndex(1, 1, 2), HIndex(2, 2, 3)]),  # needs n = k+1
+    ]:
+        cases += [(lemma_lhs_index(v, idx), fn(v, idx)) for v in variants for idx in idxs]
+    for n in (2, 3, 4):
+        cases += [(HIndex(n - 1, 0, n - 1), rec_lemma3("simrec1", n)),
+                  (HIndex(n, 0, n), rec_lemma3("simrec2", n)),
+                  (HIndex(n, 0, n + 1), rec_lemma3("hrecg", n))]
+    grid = [(x, y) for x in (0.5, 1.0, 2.0) for y in (0.5, 2.0)]
+    failures = 0
+    for lhs, combo in cases:
+        for x, y in grid:
+            lv = h_eval(lhs, x, y)
+            rv = combo.eval(x, y)
+            if abs(lv - rv) > 1e-10 * max(abs(lv), abs(rv), 1.0):
+                failures += 1
+    return {"check": "recurrences", "params": {"checks": len(cases) * len(grid)},
+            "max_residual_terms": failures, "pass": failures == 0}
+
+
 # ---------------------------------------------------------------------------
 # basis reduction (Prop.-1 style)
 # ---------------------------------------------------------------------------

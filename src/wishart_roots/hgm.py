@@ -28,6 +28,7 @@ and integrates through its abscissas in increasing order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import EvalConfig, WishartParams, _front_factor, _group_confluent
+from .distribution import EvalConfig, WishartParams, _front_factor
 from .h_integrals import HIndex, b_atom, h_atom, h_eval, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .special_fn import hpg01
 
 Idx = Tuple[int, ...]
+
+X0 = 0.5  # abscissa every integration starts from
+MIN_GAP = 1e-5  # smallest eigenvalue gap the route accepts, relative to 1 + max lam
 
 
 def _rf2(terms: Dict[Tuple[int, int], Fraction], den=None) -> RatFunc:
@@ -269,8 +273,6 @@ def extraction_vector(
         else:
             out[alpha] = s
 
-    import itertools
-
     if what == "F":
         for alpha in itertools.product(range(3), repeat=m):
             mat = [[table[i][j][alpha[i]] for j in range(m)] for i in range(m)]
@@ -328,8 +330,6 @@ def _boundary_on_level(nu: int, N: int) -> Tuple[RatFunc, RatFunc]:
 
 
 def _rat_det(mat: List[List[RatFunc]]) -> RatFunc:
-    import itertools
-
     mm = len(mat)
     nv = mat[0][0].num.nvars
     total = RatFunc.const(nv, 0)
@@ -415,10 +415,10 @@ def trajectory(
     n, m = params.n, params.m
     if n == m:
         raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
-    groups = _group_confluent(params.lambdas, cfg.confluence_threshold)
-    if len(groups) != m:
+    lam = params.lambdas
+    if any(lam[i] - lam[i + 1] < MIN_GAP * (1.0 + lam[0]) for i in range(m - 1)):
         raise ValueError("the HGM route requires distinct noncentrality eigenvalues")
-    if any(v == 0.0 for v in params.lambdas):
+    if lam[-1] == 0.0:
         raise ValueError("the HGM route requires positive noncentrality eigenvalues")
     xs = sorted(xs)
     out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
@@ -427,8 +427,9 @@ def trajectory(
         return out
     sys = PfaffianSystem(n, m)
     coeffs = extraction_vector(params, what=what)
-    front = _front_factor(params, groups)
-    state = initial_state(params, min(cfg.hgm_x0, xs[0]), cfg)
+    # det(f_j(lam_i)) = prod_{a<b} (lam_b - lam_a) det(f_j[lam_1..lam_i])
+    front = _front_factor(params) / math.prod(b - a for a, b in itertools.combinations(lam, 2))
+    state = initial_state(params, min(X0, xs[0]), cfg)
     for x in xs:
         state = hgm_integrate(sys, state, x, params.lambdas, cfg)
         value = eval_extraction(coeffs, state, params.lambdas, m)

@@ -142,9 +142,6 @@ class LambdaSeries:
         out = {q: c for q, c in out.items() if not c.is_zero()}
         return LambdaSeries(self.m, self.order, out, self.valid)
 
-    def mul_x_expoly(self, p: ExpPoly) -> "LambdaSeries":
-        return self.scale(p)
-
     def swap(self, i: int, j: int) -> "LambdaSeries":
         out = {}
         for q, c in self.coeffs.items():
@@ -157,18 +154,12 @@ class LambdaSeries:
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero_up_to(self, order: int) -> bool:
-        return all(c.is_zero() for q, c in self.coeffs.items() if max(q) <= order)
-
     def is_zero_on_valid_box(self) -> bool:
         return all(
             c.is_zero()
             for q, c in self.coeffs.items()
             if all(e <= v for e, v in zip(q, self.valid))
         )
-
-    def nonzero_terms_up_to(self, order: int) -> List[Expo]:
-        return sorted(q for q, c in self.coeffs.items() if max(q) <= order and not c.is_zero())
 
     def eval(self, x0: float, lambdas: Sequence[float]) -> float:
         if len(lambdas) != self.m:

@@ -63,11 +63,6 @@ def hpg01(n: float, z: float) -> float:
     raise ConvergenceError(f"hpg01({n}, {z}) did not converge in {MAX_TERMS} terms")
 
 
-def hpg01_deriv(n: float, z: float, order: int = 1) -> float:
-    """d^order/dz^order of hpg01(n, z) = hpg01(n+order, z) / (n)_order."""
-    return hpg01(n + order, z) / pochhammer(n, order)
-
-
 def bessel_i_check(n: int, z: float) -> float:
     """I_n(z) through the hpg01 series: I_n(z) = (z/2)^n / n! * hpg01(n+1, z^2/4).
 

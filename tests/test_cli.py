@@ -118,6 +118,12 @@ class TestHgmDump:
         pdf = [float(ln.split(",")[1]) for ln in table.strip().splitlines()[1:]]
         assert len(psi) == len(pdf) == 9
         assert psi == pytest.approx(pdf, rel=1e-8)
+        # the dump integrates with the same --tol as the table
+        _, dump, _ = run_cli(capsys, "hgm", *common, "--tol", "1e-12")
+        _, table, _ = run_cli(capsys, "table", *common, "--method", "hgm", "--what", "pdf",
+                              "--tol", "1e-12")
+        assert [ln.split(",")[-1] for ln in dump.strip().splitlines()[1:]] == \
+            [ln.split(",")[1] for ln in table.strip().splitlines()[1:]]
 
 
 class TestMc:

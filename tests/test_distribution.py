@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -45,10 +46,6 @@ class TestParams:
             WishartParams(3, 2, (1.0,))
         with pytest.raises(ValueError):
             WishartParams(3, 2, (1.0, -0.5))
-
-    def test_config_guard(self):
-        with pytest.raises(ValueError):
-            EvalConfig(confluence_threshold=0.0)
 
 
 class TestCdf:
@@ -334,3 +331,85 @@ class TestConjecture:
     def test_cdf_has_no_conjecture_route(self):
         with pytest.raises(ValueError):
             cdf(WishartParams(4, 2, (2, 1)), 2.0, EvalConfig(method="conjecture"))
+
+
+def _exact_divided_differences(poly, lams):
+    """f[lam_1..lam_i], i = 1..m, of a Fraction polynomial by the recursive
+    definition, with f^{(k)}(v)/k! where all k+1 points coincide."""
+
+    def value(coeffs, v):
+        return sum(c * v ** l for l, c in enumerate(coeffs))
+
+    def dd(i, j):
+        if lams[i] == lams[j]:
+            k = j - i
+            return value([math.comb(l, k) * c for l, c in enumerate(poly)][k:], lams[i])
+        return (dd(i + 1, j) - dd(i, j - 1)) / (lams[j] - lams[i])
+
+    return [dd(0, i) for i in range(len(lams))]
+
+
+class TestDividedDifferences:
+    POLYS = [[Fraction(c) for c in (3, -2, 5, 1, Fraction(1, 7), 4, -6)],
+             [Fraction(c) for c in (1, Fraction(2, 3), -1, 8, 2, Fraction(-5, 2), 1)]]
+
+    @pytest.mark.parametrize("lams", [
+        (Fraction(3), Fraction(1, 2), Fraction(2)),
+        (Fraction(2), Fraction(2), Fraction(1, 3)),
+        (Fraction(7, 2), Fraction(3), Fraction(3)),
+        (Fraction(0), Fraction(5, 2), Fraction(0)),
+        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(0), Fraction(0), Fraction(0)),
+    ])
+    def test_rows_match_exact_divided_differences(self, lams):
+        from wishart_roots.distribution import divided_rows
+
+        columns = [lambda s, p=p: (c * s ** l for l, c in enumerate(p)) for p in self.POLYS]
+        rows = divided_rows(columns, lams)
+        for c, poly in enumerate(self.POLYS):
+            assert [row[c] for row in rows] == _exact_divided_differences(poly, sorted(lams))
+
+    def test_unconverged_series_raises(self):
+        from wishart_roots.distribution import NumericFailure, divided_rows
+
+        with pytest.raises(NumericFailure):
+            divided_rows([lambda s: itertools.repeat(1.0)], [0.5, 1.0])
+
+    @pytest.mark.parametrize("n,m,lams", [
+        (4, 2, lambda d: (2 + d, 2 - d)),
+        (5, 3, lambda d: (3 + d, 2, 2 - d)),
+        (6, 4, lambda d: (3 + d, 2.5, 2, 2 - d)),
+    ], ids=["m2", "m3", "m4"])
+    def test_gap_sweep(self, n, m, lams):
+        # no threshold: the routes agree at every gap, and a gap of 1e-12
+        # changes nothing against the exact repeat
+        cfg = EvalConfig(experimental_m4=True)
+        routes = (cdf_quadrature, pdf_quadrature, pdf_conjecture)
+        for x in (0.15, 0.5, 3.0, 20.0):
+            at = {d: WishartParams(n, m, lams(d)) for d in
+                  (0.0, 1e-12, 1e-8, 1e-6, 1e-5, 2e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)}
+            for p in at.values():
+                expect = pdf_quadrature(p, x, cfg)
+                assert pdf_conjecture(p, x, cfg) == pytest.approx(expect, rel=1e-10)
+            for fn in routes:
+                assert fn(at[1e-12], x, cfg) == pytest.approx(fn(at[0.0], x, cfg), rel=1e-10)
+
+    @pytest.mark.parametrize("n,m,lams", [(4, 2, (10.0, 5.0)), (5, 3, (12.0, 8.0, 3.0))])
+    def test_conjecture_at_large_x(self, n, m, lams):
+        p = WishartParams(n, m, lams)
+        for x in (200.0, 300.0, 400.0):
+            got = pdf_conjecture(p, x, CFG)
+            assert math.isfinite(got) and got > 0
+            assert got == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8)
+
+    @pytest.mark.parametrize("n,level", [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 4)])
+    def test_g_series_sums_to_g_function(self, n, level):
+        from functools import partial
+
+        from wishart_roots.distribution import divided_rows, g_series
+
+        for x in (0.2, 2.0, 20.0, 150.0):
+            for y in (0.0, 0.5, 3.0, 60.0):
+                # with one eigenvalue the divided difference is the value
+                total = divided_rows([partial(g_series, n, level, x)], [y])[0][0]
+                assert math.exp(x) * total == pytest.approx(g_function(n, level, x, y), rel=1e-10)
