@@ -124,16 +124,17 @@ def _eval_one(kind: str, params: WishartParams, x: float, args, method: str) -> 
 
 
 def _err_estimate(kind: str, params: WishartParams, x: float, args, method: str, value: float) -> float:
-    """Crude error estimate: distance to an independent route when cheap,
-    otherwise the configured tolerance scale."""
-    try:
-        other = "series" if method != "series" and params.m <= 2 else "quadrature"
-        if other == method:
-            return abs(value) * args.tol
-        ref = _eval_one(kind, params, x, args, other)
-        return abs(value - ref)
-    except Exception:
+    """Crude error estimate: distance to an independent route, or the
+    configured tolerance scale when no second route serves these inputs
+    (it raises ValueError or ArithmeticError for them)."""
+    other = "series" if method != "series" and params.m <= 2 else "quadrature"
+    if other == method:
         return abs(value) * args.tol
+    try:
+        ref = _eval_one(kind, params, x, args, other)
+    except (ValueError, ArithmeticError):
+        return abs(value) * args.tol
+    return abs(value - ref)
 
 
 def cmd_point(kind: str, args) -> int:

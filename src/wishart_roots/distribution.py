@@ -25,11 +25,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .h_integrals import HIndex, h_eval
-from .series_engine import LambdaSeries, build_psi_series, cdf_det_expansion, schur_poly
+from .series_engine import LambdaSeries, build_psi_series, cdf_det_expansion, vandermonde_quotient
 from .special_fn import MAX_TERMS, hpg01, incomplete_gamma, pochhammer
 
 
@@ -63,7 +62,6 @@ class EvalConfig:
     method: str = "quadrature"
     series_order: int = 20
     hgm_rtol: float = 1e-10
-    hgm_atol: float = 1e-13
     experimental_m4: bool = False
 
 
@@ -196,19 +194,7 @@ def _psi_series_cached(n: int, m: int, order: int) -> LambdaSeries:
 @functools.lru_cache(maxsize=32)
 def _cdf_sym_series_cached(n: int, m: int, order: int) -> LambdaSeries:
     """CDF determinant / Vandermonde as a symmetric series (no front factor)."""
-    expansion = cdf_det_expansion(n, m, order + m)
-    fact = Fraction((-1) ** (m * (m - 1) // 2), math.factorial(n - m) ** m)
-    res = LambdaSeries(m, order, {})
-    out = {}
-    for q, c in expansion.items:
-        sp = schur_poly(q, m)
-        cc = c.scale(fact)
-        for e, s in sp.items():
-            if any(p > order for p in e):
-                continue
-            res._store(out, e, cc.scale(s))
-    res.coeffs = out
-    return res
+    return vandermonde_quotient(cdf_det_expansion(n, m, order + m), n, m, order)
 
 
 def cdf_series(params: WishartParams, x: float, cfg: EvalConfig) -> float:
@@ -511,7 +497,7 @@ def pdf_m2_closed(params: WishartParams, x: float) -> float:
 
 def cdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
     cfg = cfg or EvalConfig()
-    if cfg.method in ("quadrature", "auto"):
+    if cfg.method == "quadrature":
         return cdf_quadrature(params, x, cfg)
     if cfg.method == "series":
         return cdf_series(params, x, cfg)
@@ -526,7 +512,7 @@ def cdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float
 
 def pdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
     cfg = cfg or EvalConfig()
-    if cfg.method in ("quadrature", "auto"):
+    if cfg.method == "quadrature":
         return pdf_quadrature(params, x, cfg)
     if cfg.method == "series":
         return pdf_series(params, x, cfg)

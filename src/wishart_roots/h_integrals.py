@@ -142,7 +142,7 @@ def eval_atom(a: Atom, x: float, y: float, method: str = "series") -> float:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-def h_eval(idx: HIndex, x: float, y: float, method: str = "auto") -> float:
+def h_eval(idx: HIndex, x: float, y: float, method: str = "series") -> float:
     """Numeric H^{k,l}_n(x, y).
 
     ``series`` expands hpg01 term-wise, giving
@@ -156,8 +156,6 @@ def h_eval(idx: HIndex, x: float, y: float, method: str = "auto") -> float:
         raise ValueError("h_eval requires x >= 0 and y >= 0")
     if x == 0.0:
         return 0.0
-    if method == "auto":
-        method = "series"
     if method == "series":
         if idx.ell == 0:
             return _h_series_value(idx.k, idx.n, x, y)

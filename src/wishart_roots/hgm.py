@@ -1,28 +1,32 @@
-"""Holonomic gradient route: Pfaffian ODE on a 3^m tensor basis.
+"""Holonomic gradient route: one gauged Pfaffian 3-vector per eigenvalue.
 
-Per noncentrality variable the three basis functions are
+Per noncentrality eigenvalue lam the three basis functions are
 
     b0 = H^{N-1}_N(x, lam),   b1 = x^N e^{-x} hpg01(N; x lam),
     b2 = x^N e^{-x} hpg01(N+1; x lam),        N = n - m + 1,
 
 whose x- and lam-derivatives close over the triple with rational-function
-coefficients (the 3x3 blocks below).  The full state is the tensor product
-over variables; the x-direction matrix is the Kronecker sum of the blocks.
-R (and the CDF determinant) are rational-function combinations of the
-tensor basis, obtained by reducing every determinant entry onto the basis
-and expanding multilinearly; integrating the ODE from a small series start
-and applying the extraction coefficients evaluates the density.
+coefficients (the 3x3 blocks below).  Every determinant entry
+H^{n-j}_N(x, lam_i) is a polynomial combination of the triple at lam_i, so
+the CDF determinant and its x-derivative need the m triples only.
 
-For the integration the x-blocks are lowered once per noncentrality vector
-to float matrices: every entry of ``x_block(N)`` is a Laurent polynomial in
-x (monomial denominator), so the state derivative is
+The integration gauges each triple by S = diag(1, s, s), s = x^N e^{-x}
+(the scaling of Hashiguchi, Numata, Takayama and Takemura, 2013): the state
+(b0, u1, u2) = (b0, hpg01(N; x lam), hpg01(N+1; x lam)) obeys x_block(N)
+conjugated by S,
 
-    d/dx y = sum_k x^k K_k y,        k in {0, -1} for the blocks below,
+    b0' = x^{N-1} e^{-x} u1,   u1' = (lam/N) u2,   u2' = (N/x) (u1 - u2).
 
-where K_k is the Kronecker sum over slots of the x^k parts of the blocks at
-each slot's lam.  One ``trajectory`` call marches the whole route: it builds
-the lowered system, the extraction coefficients and the front factor once
-and integrates through its abscissas in increasing order.
+No component decays, so a relative tolerance alone controls the state.  The
+m slots are stacked into one 3m-vector and integrated in one call, from the
+series values at x <= X0, where the determinant below cancels for m >= 3 and
+needs the state exact to rounding.  At each abscissa the entries
+E_ij = sum_a c_{j,a}(x, lam_i) b_a(lam_i) give the CDF as front * det(E)
+and the density as -front * det([E | e^{-x} u1; x^{n-1} .. x^{n-m} | 0]),
+the bordered determinant of the quadrature route.
+
+The symbolic extraction coefficients over the 3^m tensor products
+(``extraction_vector``) serve the printed m = 2 coefficient table.
 """
 
 from __future__ import annotations
@@ -37,14 +41,14 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import EvalConfig, WishartParams, _front_factor
+from .distribution import EvalConfig, WishartParams, _det, _front_factor
 from .h_integrals import HIndex, b_atom, h_atom, h_eval, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .special_fn import hpg01
 
 Idx = Tuple[int, ...]
 
-X0 = 0.5  # abscissa every integration starts from
+X0 = 2.0  # abscissas up to X0 take the series start; integrations start at or below it
 MIN_GAP = 1e-5  # smallest eigenvalue gap the route accepts, relative to 1 + max lam
 
 
@@ -79,8 +83,8 @@ def lam_block(N: int) -> List[List[RatFunc]]:
 
 @dataclass
 class PfaffianSystem:
-    """Tensor-basis first-order system for (n, m); the symbolic x-blocks are
-    lowered to float matrices once per noncentrality vector."""
+    """Gauged x-system for (n, m): one 3-vector (b0, u1, u2) per
+    noncentrality eigenvalue, stacked slot by slot into a 3m-vector."""
 
     n: int
     m: int
@@ -89,62 +93,22 @@ class PfaffianSystem:
         if not (self.n > self.m >= 1):
             raise ValueError("requires n > m >= 1 so that N = n-m+1 > 1")
         self.N = self.n - self.m + 1
-        self._xb = x_block(self.N)
-        self._lowered: Dict[Tuple[float, ...], List[Tuple[int, np.ndarray]]] = {}
-
-    @property
-    def dim(self) -> int:
-        return 3 ** self.m
-
-    def lowered(self, lambdas: Sequence[float]) -> List[Tuple[int, np.ndarray]]:
-        """Pairs (k, K_k) with d/dx y = sum_k x^k K_k y at these lambdas."""
-        key = tuple(lambdas)
-        terms = self._lowered.get(key)
-        if terms is None:
-            per_slot = [_lower_block(self._xb, lam) for lam in key]
-            eye = np.eye(3)
-            terms = []
-            for k in sorted(set().union(*per_slot)):
-                K = np.zeros((self.dim, self.dim))
-                for slot, parts in enumerate(per_slot):
-                    if k in parts:
-                        factors = [eye] * self.m
-                        factors[slot] = parts[k]
-                        K += functools.reduce(np.kron, factors)
-                terms.append((k, K))
-            self._lowered[key] = terms
-        return terms
 
     def rhs(self, x: float, state: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-        """Kronecker-sum action of the per-variable x-blocks,
-        sum_k x^k K_k state."""
-        out = np.zeros_like(state)
-        for k, K in self.lowered(lambdas):
-            out += K @ state if k == 0 else x ** k * (K @ state)
+        """x_block(N) conjugated by diag(1, s, s), s = x^N e^{-x}, in every slot."""
+        N = self.N
+        u1, u2 = state[1::3], state[2::3]
+        out = np.empty_like(state)
+        out[0::3] = math.exp((N - 1) * math.log(x) - x) * u1
+        out[1::3] = np.multiply(lambdas, u2) / N
+        out[2::3] = (N / x) * (u1 - u2)
         return out
-
-
-def _lower_block(block: List[List[RatFunc]], lam: float) -> Dict[int, np.ndarray]:
-    """Split a 3x3 block in (x, lam) with monomial denominators into float
-    matrices by power of x, at the given lam."""
-    parts: Dict[int, np.ndarray] = {}
-    for i, row in enumerate(block):
-        for j, entry in enumerate(row):
-            if len(entry.den.terms) != 1:
-                raise ValueError("x-block entry has a non-monomial denominator")
-            ((dx, dl), dc), = entry.den.terms.items()
-            for (ex, el), c in entry.num.terms.items():
-                k = ex - dx
-                if k not in parts:
-                    parts[k] = np.zeros((3, 3))
-                parts[k][i, j] += float(c / dc) * lam ** (el - dl)
-    return parts
 
 
 @dataclass
 class HgmState:
     x: float
-    values: np.ndarray  # 3^m basis values, C-order over {0,1,2}^m
+    values: np.ndarray  # (b0, u1, u2) per slot, slot by slot
 
 
 def basis_value(N: int, a: int, x: float, lam: float) -> float:
@@ -155,35 +119,14 @@ def basis_value(N: int, a: int, x: float, lam: float) -> float:
 
 
 def initial_state(params: WishartParams, x0: float, cfg: EvalConfig | None = None) -> HgmState:
-    """Basis values at a small abscissa from the term-wise gamma series."""
-    if not (0 < x0 <= 1):
-        raise ValueError("initial abscissa must satisfy 0 < x0 <= 1")
-    sys = PfaffianSystem(params.n, params.m)
-    N = sys.N
-    per_var = [[basis_value(N, a, x0, lam) for a in range(3)] for lam in params.lambdas]
-    vals = np.zeros(sys.dim)
-    for flat in range(sys.dim):
-        idx = _unflatten(flat, params.m)
-        v = 1.0
-        for slot, a in enumerate(idx):
-            v *= per_var[slot][a]
-        vals[flat] = v
-    return HgmState(x0, vals)
-
-
-def _unflatten(flat: int, m: int) -> Idx:
-    out = []
-    for _ in range(m):
-        out.append(flat % 3)
-        flat //= 3
-    return tuple(reversed(out))
-
-
-def _flatten(idx: Idx) -> int:
-    flat = 0
-    for a in idx:
-        flat = flat * 3 + a
-    return flat
+    """Gauged state at a small abscissa: b0 from the term-wise gamma series,
+    u1 and u2 from hpg01."""
+    if not (0 < x0 <= X0):
+        raise ValueError(f"initial abscissa must satisfy 0 < x0 <= {X0}")
+    N = params.n - params.m + 1
+    vals = [v for lam in params.lambdas
+            for v in (basis_value(N, 0, x0, lam), hpg01(N, x0 * lam), hpg01(N + 1, x0 * lam))]
+    return HgmState(x0, np.array(vals))
 
 
 def hgm_integrate(
@@ -193,7 +136,8 @@ def hgm_integrate(
     lambdas: Sequence[float],
     cfg: EvalConfig | None = None,
 ) -> HgmState:
-    """Adaptive embedded Runge-Kutta 5(4) along x at fixed lam."""
+    """Adaptive embedded Runge-Kutta 5(4) along x at fixed lam, with a
+    relative tolerance only."""
     cfg = cfg or EvalConfig()
     if x_target == start.x:
         return HgmState(start.x, start.values.copy())
@@ -203,7 +147,7 @@ def hgm_integrate(
         start.values,
         method="RK45",
         rtol=cfg.hgm_rtol,
-        atol=cfg.hgm_atol,
+        atol=0.0,
         dense_output=False,
     )
     if not sol.success:
@@ -377,16 +321,6 @@ def extraction_vector_dx(
     return out
 
 
-def eval_extraction(
-    coeffs: Dict[Idx, RatFunc], state: HgmState, lambdas: Sequence[float], m: int
-) -> float:
-    point = [state.x] + list(lambdas)
-    total = 0.0
-    for alpha, c in coeffs.items():
-        total += c.eval(point) * state.values[_flatten(alpha)]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # distribution values through the Pfaffian route
 # ---------------------------------------------------------------------------
@@ -406,35 +340,55 @@ def trajectory(
     what: str = "R",
 ) -> List[Tuple[float, np.ndarray, float, float]]:
     """March once through the abscissas in increasing order; returns
-    (x, basis values, extraction value, distribution value) per abscissa.
+    (x, basis values, determinant value, distribution value) per abscissa.
 
-    ``what`` is "R" for the density psi = front * R, "F" for the CDF
-    front * det, clamped to [0, 1].  Abscissas x <= 0 give zeros.
+    The basis values are the 3^m products of the slots' (b0, b1, b2), C-order
+    over {0,1,2}^m.  ``what`` is "R" for the density psi = front * R with
+    R = d/dx det(E), "F" for the CDF front * det(E), clamped to [0, 1].
+    Abscissas x <= 0 give zeros.
     """
     cfg = cfg or EvalConfig()
     n, m = params.n, params.m
     if n == m:
         raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
+    if what not in ("R", "F"):
+        raise ValueError("what must be 'R' or 'F'")
     lam = params.lambdas
     if any(lam[i] - lam[i + 1] < MIN_GAP * (1.0 + lam[0]) for i in range(m - 1)):
         raise ValueError("the HGM route requires distinct noncentrality eigenvalues")
-    if lam[-1] == 0.0:
-        raise ValueError("the HGM route requires positive noncentrality eigenvalues")
     xs = sorted(xs)
     out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
     xs = xs[len(out):]
     if not xs:
         return out
     sys = PfaffianSystem(n, m)
-    coeffs = extraction_vector(params, what=what)
+    N = sys.N
+    coeffs = _entry_reductions(n, m, N)
     # det(f_j(lam_i)) = prod_{a<b} (lam_b - lam_a) det(f_j[lam_1..lam_i])
     front = _front_factor(params) / math.prod(b - a for a, b in itertools.combinations(lam, 2))
     state = initial_state(params, min(X0, xs[0]), cfg)
     for x in xs:
-        state = hgm_integrate(sys, state, x, params.lambdas, cfg)
-        value = eval_extraction(coeffs, state, params.lambdas, m)
-        dist = front * value if what == "R" else min(max(front * value, 0.0), 1.0)
-        out.append((x, state.values.copy(), value, dist))
+        if x > X0:
+            state = hgm_integrate(sys, state, x, lam, cfg)
+        elif x != state.x:
+            # the series start is cheap and exact to rounding, which the
+            # determinant needs: for m >= 3 it amplifies state errors by ~1e5 at x < 1
+            state = initial_state(params, x, cfg)
+        s = math.exp(N * math.log(x) - x)
+        basis = state.values.reshape(m, 3) * (1.0, s, s)
+        rows = [[sum(c.eval((x, y)) * b for c, b in zip(cj, v)) for cj in coeffs]
+                for y, v in zip(lam, basis.tolist())]
+        if what == "F":
+            value = _det(rows)
+            dist = min(max(front * value, 0.0), 1.0)
+        else:
+            # d/dx H^{n-j}_N(x, lam_i) = x^{n-j} e^{-x} u1_i: the sum of the
+            # determinants with one row differentiated is minus the bordered one
+            border = [x ** (n - j) for j in range(1, m + 1)] + [0.0]
+            g = (math.exp(-x) * state.values[1::3]).tolist()
+            value = -_det([row + [gi] for row, gi in zip(rows, g)] + [border])
+            dist = front * value
+        out.append((x, functools.reduce(np.kron, basis), value, dist))
     return out
 
 

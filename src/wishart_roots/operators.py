@@ -225,21 +225,10 @@ def build_T(j: int, n: int, m: int, var: int) -> DiffOperator:
 
 
 def theorem2_operator(n: int, m: int) -> DiffOperator:
-    """x dx + sum_k (lam_k d2_k + (n-m+1-lam_k) d_k - n) + m(m-1)/2 + 1."""
-    nv = m + 1
-    x = RatFunc(MPoly.var(nv, 0))
-    op = DiffOperator.monomial(m, x, 1, None)
-    for k in range(m):
-        lam = RatFunc(MPoly.var(nv, 1 + k))
-        d2 = [0] * m
-        d2[k] = 2
-        d1 = [0] * m
-        d1[k] = 1
-        op = op + DiffOperator.monomial(m, lam, 0, d2)
-        op = op + DiffOperator.monomial(m, RatFunc.const(nv, n - m + 1) - lam, 0, d1)
+    """x dx + sum_k (lam_k d2_k + (n-m+1-lam_k) d_k - n) + m(m-1)/2 + 1: the
+    Euler-shift operator plus a constant."""
     const = Fraction(-n * m) + Fraction(m * (m - 1), 2) + 1
-    op = op + DiffOperator.monomial(m, RatFunc.const(nv, const), 0, None)
-    return op
+    return euler_shift_operator(n, m) + DiffOperator.identity(m).scale(const)
 
 
 def euler_shift_operator(n: int, m: int) -> DiffOperator:

@@ -425,29 +425,34 @@ def schur_poly(q: Expo, m: int) -> Dict[Expo, Fraction]:
     return poly
 
 
+def vandermonde_quotient(expansion: SchurExpansion, n: int, m: int, order: int) -> LambdaSeries:
+    """(-1)^{m(m-1)/2} / (n-m)!^m times a determinant's Schur expansion divided
+    by the Vandermonde prod_{i<j}(lam_i - lam_j), truncated at ``order`` in
+    each lam: each monomial determinant divides exactly, the quotient being a
+    Schur polynomial."""
+    fact = Fraction((-1) ** (m * (m - 1) // 2), math.factorial(n - m) ** m)
+    out: Dict[Expo, ExpPoly] = {}
+    res = LambdaSeries(m, order, {})
+    for q, c in expansion.items:
+        cc = c.scale(fact)
+        for e, s in schur_poly(q, m).items():
+            if all(p <= order for p in e):
+                res._store(out, e, cc.scale(s))
+    res.coeffs = out
+    return res
+
+
 def build_psi_series(
     n: int, m: int, order: int, fold_exp: bool = False
 ) -> LambdaSeries:
     """Series of psi_{n,m} * e^{+sum(lam)}  (symmetric part of the density).
 
     That is R_{n,m} / ( {(n-m)!}^m  prod_{i<j}(lam_i - lam_j) ), computed per
-    Schur component:  each monomial determinant divides exactly by the
-    Vandermonde, the quotient being (-1)^{m(m-1)/2} times a Schur polynomial.
-    With ``fold_exp`` the truncated series of e^{-sum(lam)} is multiplied
-    back in, giving the density series itself.
+    Schur component (``vandermonde_quotient``).  With ``fold_exp`` the
+    truncated series of e^{-sum(lam)} is multiplied back in, giving the
+    density series itself.
     """
-    expansion = cdf_det_expansion(n, m, order + m).diff_x()
-    fact = Fraction((-1) ** (m * (m - 1) // 2), math.factorial(n - m) ** m)
-    out: Dict[Expo, ExpPoly] = {}
-    res = LambdaSeries(m, order, {})
-    for q, c in expansion.items:
-        sp = schur_poly(q, m)
-        cc = c.scale(fact)
-        for e, s in sp.items():
-            if any(p > order for p in e):
-                continue
-            res._store(out, e, cc.scale(s))
-    res.coeffs = out
+    res = vandermonde_quotient(cdf_det_expansion(n, m, order + m).diff_x(), n, m, order)
     if fold_exp:
         res = res * _exp_minus_sum_series(m, order)
     return res

@@ -1,0 +1,54 @@
+"""The benchmark drives the package through names it looks up at run time:
+the traced layers of ``bench/spans.py`` and the caches and config keywords
+of ``bench/workloads.py``.  Both files are loaded by path, unchanged, so a
+renamed or removed binding fails here rather than in a benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load("spans")
+
+
+@pytest.mark.parametrize("mod_name,path,metric", spans.LAYERS, ids=[m for _, _, m in spans.LAYERS])
+def test_layer_resolves(mod_name, path, metric):
+    owner = importlib.import_module(f"wishart_roots.{mod_name}")
+    if "." in path:
+        cls_name, attr = path.split(".")
+        # the recorder wraps the method found in the class's own namespace
+        assert callable(vars(getattr(owner, cls_name))[attr])
+    else:
+        assert callable(getattr(owner, path))
+
+
+def test_recorder_installs_on_package_modules():
+    pkg = load("workloads").Package()
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in pkg.modules}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    rec = spans.SpanRecorder()
+    try:
+        rec.install(modules)
+    finally:
+        rec.uninstall()
+    assert sorted(rec.names) == sorted(m for _, _, m in spans.LAYERS)
+    for name, m in modules.items():
+        assert all(vars(m)[k] is v for k, v in before[name].items())
+
+
+def test_workloads_package_constructs():
+    pkg = load("workloads").Package()
+    # every named cache is an lru_cache the run can clear and read
+    assert set(pkg.cache_info()) == set(pkg.caches)
+    assert {cfg.method for cfg in pkg.cfg.values()} == {"quadrature", "conjecture"}

@@ -38,6 +38,34 @@ class TestPointCommands:
         vals = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert max(vals) - min(vals) < 1e-8 * max(vals)
 
+    def test_zero_lambda_all_routes(self, capsys):
+        code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
+                               "--lambda", "2,0", "--x", "5", "--method", "all")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["quadrature", "series", "conjecture", "hgm"]
+        vals = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert max(vals) - min(vals) < 1e-8 * max(vals)
+
+    def test_hgm_tail(self, capsys):
+        code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
+                               "--lambda", "2,1", "--x", "150", "--method", "hgm")
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(7.5546294798066441e-49, rel=1e-8, abs=0)
+
+    def test_err_estimate_propagates_unexpected_errors(self, capsys, monkeypatch):
+        # only the errors a route raises for inputs it does not serve mean
+        # "no second route"; anything else is a fault and must surface
+        from wishart_roots import distribution as dist
+
+        def broken(*a, **k):
+            raise TypeError("synthetic fault in the reference route")
+
+        monkeypatch.setattr(dist, "cdf_series", broken)
+        with pytest.raises(TypeError):
+            run_cli(capsys, "cdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3")
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "cdf", "--n", "3", "--m", "1",
                                "--lambda", "1", "--x", "2", "--json")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,11 +7,9 @@ import pytest
 from wishart_roots.distribution import EvalConfig, WishartParams, pdf_quadrature, cdf_quadrature
 from wishart_roots.h_integrals import HIndex, h_eval
 from wishart_roots.hgm import (
-    HgmState,
     PfaffianSystem,
     basis_value,
     cdf_hgm,
-    eval_extraction,
     extraction_vector,
     extraction_vector_dx,
     hgm_integrate,
@@ -23,6 +22,7 @@ from wishart_roots.hgm import (
     x_block,
 )
 from wishart_roots.ratfunc import RatFunc
+from wishart_roots.special_fn import hpg01
 
 CFG = EvalConfig()
 
@@ -80,16 +80,16 @@ class TestBlocks:
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)
 
 
-def symbolic_rhs(N, m, x, state, lambdas):
-    """Reference: the Kronecker-sum action with every block entry evaluated
-    from its RatFunc."""
-    t = state.reshape((3,) * m)
-    out = np.zeros_like(t)
-    for slot in range(m):
-        blk = eval_mat(x_block(N), x, lambdas[slot])
-        acted = np.tensordot(blk, np.moveaxis(t, slot, 0), axes=(1, 0))
-        out += np.moveaxis(acted, 0, slot)
-    return out.reshape(-1)
+def gauged_block(N, x, lam):
+    """Reference: x_block(N) evaluated from its RatFuncs and conjugated by
+    S = diag(1, s, s), s = x^N e^{-x}: S^{-1} (A S - S'), returned with the
+    magnitudes |S^{-1} A S| + |S^{-1} S'| that bound its rounding."""
+    s = x ** N * math.exp(-x)
+    S = np.diag([1.0, s, s])
+    dS = np.diag([0.0, (N / x - 1) * s, (N / x - 1) * s])
+    S_inv = np.diag([1.0, 1 / s, 1 / s])
+    A = eval_mat(x_block(N), x, lam)
+    return S_inv @ (A @ S - dS), np.abs(S_inv @ A @ S) + np.abs(S_inv @ dS)
 
 
 class TestSystem:
@@ -104,22 +104,37 @@ class TestSystem:
         rng = np.random.default_rng(1000 * m + N)
         for lambdas in [(0.0,) * m, (3.0, 1.5, 0.0)[:m], (7.25, 2.0, 0.5)[:m]]:
             for x in (0.1, 1.7, 40.0, 150.0):
-                state = rng.standard_normal(3 ** m)
-                ref = symbolic_rhs(N, m, x, state, lambdas)
+                state = rng.standard_normal(3 * m)
                 got = sys.rhs(x, state, lambdas)
-                # float64 rounding of a few products and sums per entry
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                assert got.shape == (3 * m,)
+                for slot, lam in enumerate(lambdas):
+                    w = state[3 * slot:3 * slot + 3]
+                    G, mag = gauged_block(N, x, lam)
+                    # float64 rounding of a few products and sums per entry,
+                    # componentwise (the b0 row is ~x^N e^{-x} at large x)
+                    err = np.abs(got[3 * slot:3 * slot + 3] - G @ w)
+                    assert np.all(err <= 1e-13 * (mag @ np.abs(w)))
 
     def test_initial_state_matches_quadrature(self):
         p = WishartParams(4, 1, (1.0,))
         st = initial_state(p, 0.5, CFG)
         N = 4
-        for a in range(3):
-            direct = basis_value(N, a, 0.5, 1.0)
-            assert st.values[a] == pytest.approx(direct, rel=1e-12)
+        s = 0.5 ** N * math.exp(-0.5)
+        assert st.values.shape == (3,)
+        assert st.values[0] == pytest.approx(basis_value(N, 0, 0.5, 1.0), rel=1e-12)
+        for a in (1, 2):
+            assert st.values[a] * s == pytest.approx(basis_value(N, a, 0.5, 1.0), rel=1e-12)
         # H component against the quadrature oracle
         ref = h_eval(HIndex(N - 1, 0, N), 0.5, 1.0, method="quad")
         assert st.values[0] == pytest.approx(ref, rel=1e-9)
+
+    def test_initial_state_stacks_slots(self):
+        p = WishartParams(5, 3, (3.0, 2.0, 1.0))
+        st = initial_state(p, 0.5, CFG)
+        assert st.values.shape == (9,)
+        for slot, lam in enumerate(p.lambdas):
+            assert st.values[3 * slot:3 * slot + 3] == pytest.approx(
+                [basis_value(3, 0, 0.5, lam), hpg01(3, 0.5 * lam), hpg01(4, 0.5 * lam)], rel=1e-12)
 
     def test_initial_state_at_zero_noncentrality(self):
         from wishart_roots.special_fn import incomplete_gamma
@@ -128,7 +143,7 @@ class TestSystem:
         st = initial_state(p, 0.5, CFG)
         N = 3
         assert st.values[0] == pytest.approx(incomplete_gamma(N, 0.5), rel=1e-12)
-        assert st.values[1] == pytest.approx(0.5 ** N * math.exp(-0.5), rel=1e-12)
+        assert list(st.values[1:]) == [1.0, 1.0]
 
     def test_zero_length_integration(self):
         p = WishartParams(4, 2, (2.0, 1.0))
@@ -138,18 +153,17 @@ class TestSystem:
         assert np.array_equal(out.values, st.values)
 
     def test_m1_component_against_direct(self):
-        # integrate (n, lam) = (4, 1) from 0.5 to 5: b1 must match closed form
-        from wishart_roots.special_fn import hpg01
-
+        # integrate (n, lam) = (4, 1) from 0.5 to 5: every component must
+        # match its closed form
         p = WishartParams(4, 1, (1.0,))
         sys = PfaffianSystem(4, 1)
         st = initial_state(p, 0.5, CFG)
         out = hgm_integrate(sys, st, 5.0, p.lambdas, CFG)
-        direct = 5.0 ** 4 * math.exp(-5.0) * hpg01(4, 5.0 * 1.0)
-        assert out.values[1] == pytest.approx(direct, rel=1e-8)
+        assert out.values == pytest.approx(
+            [h_eval(HIndex(3, 0, 4), 5.0, 1.0), hpg01(4, 5.0), hpg01(5, 5.0)], rel=1e-8)
 
     def test_reversibility_under_tolerance(self):
-        cfg = EvalConfig(hgm_rtol=1e-12, hgm_atol=1e-16)
+        cfg = EvalConfig(hgm_rtol=1e-12)
         p = WishartParams(4, 2, (2.0, 1.0))
         sys = PfaffianSystem(4, 2)
         st = initial_state(p, 0.5, cfg)
@@ -157,6 +171,13 @@ class TestSystem:
         back = hgm_integrate(sys, fwd, 0.5, p.lambdas, cfg)
         rel = np.abs(back.values - st.values) / np.abs(st.values)
         assert np.max(rel) < 1e-9
+
+
+def eval_extraction(coeffs, x, values, lambdas):
+    """sum_alpha c_alpha(x, lam) prod_i b_{alpha_i}(lam_i) over the tensor
+    basis values that trajectory returns (C-order over {0,1,2}^m)."""
+    t = values.reshape((3,) * len(lambdas))
+    return sum(c.eval([x, *lambdas]) * t[alpha] for alpha, c in coeffs.items())
 
 
 class TestExtraction:
@@ -185,16 +206,24 @@ class TestExtraction:
 
     def test_dx_vector_matches_finite_differences(self):
         p = WishartParams(4, 2, (2.0, 1.0))
-        sys = PfaffianSystem(4, 2)
         coeffs = extraction_vector(p, what="R")
         dx_coeffs = extraction_vector_dx(p, coeffs)
-        st = initial_state(p, 0.9, CFG)
         h = 1e-5
-        up = hgm_integrate(sys, st, 0.9 + h, p.lambdas, CFG)
-        dn = hgm_integrate(sys, st, 0.9 - h, p.lambdas, CFG)
-        fd = (eval_extraction(coeffs, up, p.lambdas, 2) - eval_extraction(coeffs, dn, p.lambdas, 2)) / (2 * h)
-        analytic = eval_extraction(dx_coeffs, st, p.lambdas, 2)
+        dn, mid, up = trajectory(p, [0.9 - h, 0.9, 0.9 + h], CFG)
+        fd = (eval_extraction(coeffs, up[0], up[1], p.lambdas)
+              - eval_extraction(coeffs, dn[0], dn[1], p.lambdas)) / (2 * h)
+        analytic = eval_extraction(dx_coeffs, mid[0], mid[1], p.lambdas)
         assert analytic == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("what", ["R", "F"])
+    @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 1.0)), (5, 3, (3.0, 2.0, 1.0))])
+    def test_determinant_matches_symbolic_extraction(self, what, n, m, lams):
+        # the float determinant against the multilinear extraction over the
+        # tensor products of the returned basis values
+        p = WishartParams(n, m, lams)
+        coeffs = extraction_vector(p, what=what)
+        for x, values, value, _ in trajectory(p, [2.0, 6.0, 12.0], CFG, what=what):
+            assert value == pytest.approx(eval_extraction(coeffs, x, values, p.lambdas), rel=1e-7)
 
 
 class TestDistributionValues:
@@ -218,11 +247,43 @@ class TestDistributionValues:
         for x, values, R, psi in rows:
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-6)
 
-    def test_confluent_and_zero_lambda_rejected(self):
+    def test_confluent_lambda_rejected(self):
         with pytest.raises(ValueError):
             pdf_hgm(WishartParams(4, 2, (1.0, 1.0)), 2.0, CFG)
-        with pytest.raises(ValueError):
-            pdf_hgm(WishartParams(4, 2, (1.0, 0.0)), 2.0, CFG)
+
+    @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 0.0)), (5, 3, (3.0, 1.5, 0.0)),
+                                          (3, 1, (0.0,))])
+    def test_zero_lambda_matches_quadrature(self, n, m, lams):
+        p = WishartParams(n, m, lams)
+        for x in (0.5, 2.0, 10.0, 50.0, 150.0):
+            assert pdf_hgm(p, x, CFG) == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+            assert cdf_hgm(p, x, CFG) == pytest.approx(cdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("n,m,lams,x_min", [(4, 2, (2.0, 1.0), 0.5),
+                                                (5, 3, (1.2, 0.7, 0.2), 0.5),
+                                                (5, 3, (3.0, 2.0, 1.0), 0.5),
+                                                (6, 4, (4.0, 3.0, 2.0, 1.0), 10.0)])
+    def test_trajectory_tail_matches_quadrature(self, n, m, lams, x_min):
+        # the density falls to ~1e-49 at x = 150; the gauged state keeps it
+        # to the relative tolerance all the way
+        p = WishartParams(n, m, lams)
+        xs = list(np.linspace(x_min, 150.0, 40))
+        for x, _, _, psi in trajectory(p, xs, CFG):
+            assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("lams", [(3.0, 2.0, 1.0), (1.2, 0.7, 0.2)])
+    def test_small_x_matches_quadrature(self, lams):
+        # for m = 3 the determinant amplifies state errors by ~1e5 at x < 1,
+        # so abscissas there must come from the series start
+        p = WishartParams(5, 3, lams)
+        for x, _, _, psi in trajectory(p, list(np.linspace(0.5, 3.0, 11)), CFG):
+            assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+
+    def test_basis_values_are_tensor_products(self):
+        p = WishartParams(5, 3, (3.0, 2.0, 1.0))
+        (x, values, _, _), = trajectory(p, [4.0], CFG)
+        per_slot = [[basis_value(3, a, x, lam) for a in range(3)] for lam in p.lambdas]
+        assert values == pytest.approx(functools.reduce(np.kron, per_slot), rel=1e-8, abs=0)
 
     def test_n_equal_m_rejected(self):
         with pytest.raises(ValueError):
