@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=4)
     p_ver.add_argument("--m", type=int, default=2)
     p_ver.add_argument("--order", type=int, default=12)
-    p_ver.add_argument("--json", action="store_true", default=True)
     return ap
 
 
@@ -137,17 +136,21 @@ def _err_estimate(kind: str, params: WishartParams, x: float, args, method: str,
     return abs(value - ref)
 
 
+def _routes(kind: str, method: str) -> List[str]:
+    """The routes --method names for a cdf or pdf.  The conjecture route
+    defines the density only: "all" leaves it out of a CDF."""
+    routes = ["quadrature", "series", "conjecture", "hgm"] if method == "all" else [method]
+    if kind == "cdf" and "conjecture" in routes:
+        if method != "all":
+            raise ValueError("the conjecture route defines the density only")
+        routes.remove("conjecture")
+    return routes
+
+
 def cmd_point(kind: str, args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
-    methods = ["quadrature", "series", "conjecture", "hgm"] if args.method == "all" else [args.method]
-    if kind == "cdf" and "conjecture" in methods:
-        if args.method == "all":
-            methods.remove("conjecture")
-        else:
-            print("the conjecture route defines the density only", file=sys.stderr)
-            return EXIT_USAGE
     rows = []
-    for method in methods:
+    for method in _routes(kind, args.method):
         value = _eval_one(kind, params, args.x, args, method)
         err = _err_estimate(kind, params, args.x, args, method, value)
         rows.append((args.x, value, method, err))
@@ -173,9 +176,7 @@ def _grid(args) -> List[float]:
 def cmd_table(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     xs = _grid(args)
-    methods = ["quadrature", "series", "conjecture", "hgm"] if args.method == "all" else [args.method]
-    if args.what == "cdf" and "conjecture" in methods:
-        methods.remove("conjecture")
+    methods = _routes(args.what, args.method)
     columns = []
     for mth in methods:
         if mth == "hgm":
@@ -222,9 +223,9 @@ def cmd_verify(args) -> int:
         reports += operators.verify_theorem1(args.n, args.m, args.order)
     if args.target in ("theorem2", "all"):
         reports += operators.verify_theorem2(args.n, args.m, args.order)
-    if args.target in ("printed", "all"):
-        if args.m in (2, 3):
-            reports += operators.verify_printed(args.n, args.m, args.order)
+    # "all" skips the printed operators at an m that has none
+    if args.target == "printed" or (args.target == "all" and args.m in (2, 3)):
+        reports += operators.verify_printed(args.n, args.m, args.order)
     if args.target in ("recurrences", "all"):
         reports.append(h_integrals.verify_recurrences())
     ok = all(r["pass"] for r in reports)

@@ -219,11 +219,6 @@ class ExpPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_xpow(self) -> int:
-        if not self.terms:
-            return 0
-        return min(i for (i, _) in self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
             return NotImplemented

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 from scipy.integrate import quad
 
 from .exp_poly import ExpPoly, incomplete_gamma_exact
-from .ratfunc import MPoly, RatFunc
+from .ratfunc import RatFunc
 from .special_fn import ConvergenceError, hpg01, incomplete_gamma
 
 Atom = Tuple
@@ -40,12 +40,6 @@ _NV = 2
 
 def _rf_const(c) -> RatFunc:
     return RatFunc.const(_NV, c)
-
-
-def _rf(poly_terms: Dict[Tuple[int, int], Fraction], den_terms=None) -> RatFunc:
-    num = MPoly(_NV, {e: Fraction(c) for e, c in poly_terms.items()})
-    den = MPoly(_NV, {e: Fraction(c) for e, c in den_terms.items()}) if den_terms else None
-    return RatFunc(num, den)
 
 
 class QuadratureError(ArithmeticError):
@@ -280,7 +274,7 @@ def rec_lemma1(variant: str, idx: HIndex) -> HCombo:
             raise ValueError("rec3 requires k > 0")
         return HCombo({
             h_atom(k, 0, n): _rf_const(1),
-            h_atom(k + 1, 0, n + 1): _rf({(0, 1): Fraction(1, n * (n - 1))}),
+            h_atom(k + 1, 0, n + 1): RatFunc.from_terms({(0, 1): Fraction(1, n * (n - 1))}),
         })
     if variant == "recip":
         if k <= 0:
@@ -288,18 +282,18 @@ def rec_lemma1(variant: str, idx: HIndex) -> HCombo:
         inv_k = Fraction(1, k)
         return HCombo({
             h_atom(k, 0, n): _rf_const(inv_k),
-            h_atom(k, 0, n + 1): _rf({(0, 1): -Fraction(1, n) * inv_k}),
-            b_atom(n): _rf({(k, 0): inv_k}),
+            h_atom(k, 0, n + 1): RatFunc.from_terms({(0, 1): -Fraction(1, n) * inv_k}),
+            b_atom(n): RatFunc.from_terms({(k, 0): inv_k}),
         })
     if variant == "rechd":
         if k <= 0:
             raise ValueError("rechd requires k > 0")
         inv_k = Fraction(1, k)
         return HCombo({
-            h_atom(k, 0, n): _rf({(0, 0): Fraction(n - 1, 1) * inv_k, (0, 1): -inv_k},
-                                 {(0, 0): Fraction(n - 1)}),
-            h_atom(k + 1, 0, n + 1): _rf({(0, 1): Fraction(1, n * (n - 1)) * inv_k}),
-            b_atom(n - 1): _rf({(k, 0): inv_k}),
+            h_atom(k, 0, n): RatFunc.from_terms({(0, 0): Fraction(n - 1, 1) * inv_k,
+                                                 (0, 1): -inv_k}, {(0, 0): Fraction(n - 1)}),
+            h_atom(k + 1, 0, n + 1): RatFunc.from_terms({(0, 1): Fraction(1, n * (n - 1)) * inv_k}),
+            b_atom(n - 1): RatFunc.from_terms({(k, 0): inv_k}),
         })
     raise ValueError(f"unknown lemma-1 variant {variant!r}")
 
@@ -316,17 +310,18 @@ def rec_lemma2(variant: str, idx: HIndex) -> HCombo:
     if variant == "shift_n":
         d = Fraction(1, n * (n - 1))
         return HCombo({
-            h_atom(k, 0, n): _rf({(0, 0): Fraction(n - 1), (0, 1): Fraction(1)},
-                                 {(0, 0): Fraction(n - 1)}),
-            h_atom(k, 0, n + 1): _rf({(0, 1): Fraction(k - n + 1)}) * _rf_const(d),
-            b_atom(n + 1): _rf({(k + 1, 1): Fraction(-1)}) * _rf_const(d),
+            h_atom(k, 0, n): RatFunc.from_terms({(0, 0): Fraction(n - 1), (0, 1): Fraction(1)},
+                                                {(0, 0): Fraction(n - 1)}),
+            h_atom(k, 0, n + 1): RatFunc.from_terms({(0, 1): Fraction(k - n + 1)}) * _rf_const(d),
+            b_atom(n + 1): RatFunc.from_terms({(k + 1, 1): Fraction(-1)}) * _rf_const(d),
         })
     if variant == "shift_k":
         return HCombo({
-            h_atom(k, 0, n): _rf({(0, 0): Fraction(2 * k + 2 - n), (0, 1): Fraction(1)}),
+            h_atom(k, 0, n): RatFunc.from_terms({(0, 0): Fraction(2 * k + 2 - n),
+                                                 (0, 1): Fraction(1)}),
             h_atom(k - 1, 0, n): _rf_const(Fraction(k * (n - k - 1))),
-            b_atom(n - 1): _rf({(k, 0): Fraction(-(n - 1))}),
-            b_atom(n): _rf({(k, 0): Fraction(k), (k + 1, 0): Fraction(-1)}),
+            b_atom(n - 1): RatFunc.from_terms({(k, 0): Fraction(-(n - 1))}),
+            b_atom(n): RatFunc.from_terms({(k, 0): Fraction(k), (k + 1, 0): Fraction(-1)}),
         })
     raise ValueError(f"unknown lemma-2 variant {variant!r}")
 
@@ -345,19 +340,20 @@ def rec_lemma3(variant: str, n: int) -> HCombo:
             raise ValueError("simrec1 requires n > 1")
         d = Fraction(1, n - 1)
         return HCombo({
-            h_atom(n - 1, 0, n): _rf({(0, 0): Fraction(n - 1), (0, 1): Fraction(1)}) * _rf_const(d),
-            b_atom(n + 1): _rf({(n, 1): -Fraction(1, n)}) * _rf_const(d),
+            h_atom(n - 1, 0, n): RatFunc.from_terms({(0, 0): Fraction(n - 1),
+                                                     (0, 1): Fraction(1)}) * _rf_const(d),
+            b_atom(n + 1): RatFunc.from_terms({(n, 1): -Fraction(1, n)}) * _rf_const(d),
         })
     if variant == "simrec2":
         return HCombo({
-            h_atom(n - 1, 0, n): _rf({(0, 0): Fraction(n), (0, 1): Fraction(1)}),
-            b_atom(n + 1): _rf({(n, 1): -Fraction(1, n)}),
-            b_atom(n): _rf({(n, 0): Fraction(-1)}),
+            h_atom(n - 1, 0, n): RatFunc.from_terms({(0, 0): Fraction(n), (0, 1): Fraction(1)}),
+            b_atom(n + 1): RatFunc.from_terms({(n, 1): -Fraction(1, n)}),
+            b_atom(n): RatFunc.from_terms({(n, 0): Fraction(-1)}),
         })
     if variant == "hrecg":
         return HCombo({
             h_atom(n - 1, 0, n): _rf_const(n),
-            b_atom(n + 1): _rf({(n, 0): Fraction(-1)}),
+            b_atom(n + 1): RatFunc.from_terms({(n, 0): Fraction(-1)}),
         })
     raise ValueError(f"unknown lemma-3 variant {variant!r}")
 
@@ -375,7 +371,7 @@ def rec_lemma45(variant: str, idx: HIndex) -> HCombo:
     if variant == "hklnx":
         if ell <= 0:
             raise ValueError("hklnx requires l > 0")
-        inv_x = _rf({(0, 0): Fraction(1)}, {(1, 0): Fraction(1)})
+        inv_x = RatFunc.from_terms({(0, 0): Fraction(1)}, {(1, 0): Fraction(1)})
         return HCombo({
             h_atom(k + 1, ell, n): inv_x,
             h_atom(k, ell + 1, n): inv_x,
@@ -383,7 +379,7 @@ def rec_lemma45(variant: str, idx: HIndex) -> HCombo:
     if variant == "hklnr":
         return HCombo({
             h_atom(k, ell, n): _rf_const(1),
-            h_atom(k + 1, ell, n + 1): _rf({(0, 1): Fraction(1, n * (n - 1))}),
+            h_atom(k + 1, ell, n + 1): RatFunc.from_terms({(0, 1): Fraction(1, n * (n - 1))}),
         })
     if variant == "hklni":
         if k <= 0 or ell <= 0:
@@ -391,7 +387,7 @@ def rec_lemma45(variant: str, idx: HIndex) -> HCombo:
         return HCombo({
             h_atom(k - 1, ell, n): _rf_const(k),
             h_atom(k, ell - 1, n): _rf_const(-ell),
-            h_atom(k, ell, n + 1): _rf({(0, 1): Fraction(1, n)}),
+            h_atom(k, ell, n + 1): RatFunc.from_terms({(0, 1): Fraction(1, n)}),
         })
     if variant == "hklrecu":
         if k <= 0 or ell <= 0:
@@ -472,10 +468,6 @@ class ReductionError(ValueError):
     """The requested index is outside the reachable range."""
 
 
-def _basis_combo_b(nu: int) -> HCombo:
-    return HCombo({b_atom(nu): _rf_const(1)})
-
-
 def _reduce_same_param(k: int, n: int, cache: Dict[int, HCombo]) -> HCombo:
     """H^k_n over {H^{n-1}_n, B(n-1), B(n)} for k >= n-1 (fixed parameter n)."""
     if k in cache:
@@ -488,14 +480,15 @@ def _reduce_same_param(k: int, n: int, cache: Dict[int, HCombo]) -> HCombo:
         # the chain never leaves k >= n-1
         kk = k - 1
         lower1 = _reduce_same_param(kk, n, cache)
-        combo = lower1.scale(_rf({(0, 0): Fraction(2 * kk + 2 - n), (0, 1): Fraction(1)}))
+        combo = lower1.scale(RatFunc.from_terms({(0, 0): Fraction(2 * kk + 2 - n),
+                                                 (0, 1): Fraction(1)}))
         c2 = Fraction(kk * (n - kk - 1))
         if c2 != 0:
             lower2 = _reduce_same_param(kk - 1, n, cache)
             combo = combo + lower2.scale(_rf_const(c2))
         combo = combo + HCombo({
-            b_atom(n - 1): _rf({(kk, 0): Fraction(-(n - 1))}),
-            b_atom(n): _rf({(kk, 0): Fraction(kk), (kk + 1, 0): Fraction(-1)}),
+            b_atom(n - 1): RatFunc.from_terms({(kk, 0): Fraction(-(n - 1))}),
+            b_atom(n): RatFunc.from_terms({(kk, 0): Fraction(kk), (kk + 1, 0): Fraction(-1)}),
         })
     cache[k] = combo
     return combo
@@ -506,12 +499,12 @@ def _transition_up(combo: HCombo, nu: int) -> HCombo:
     # H^{nu-1}_nu = (H^{nu}_{nu+1} + x^nu B(nu+1)) / nu          [hrecg at n = nu]
     h_rep = HCombo({
         h_atom(nu, 0, nu + 1): _rf_const(Fraction(1, nu)),
-        b_atom(nu + 1): _rf({(nu, 0): Fraction(1, nu)}),
+        b_atom(nu + 1): RatFunc.from_terms({(nu, 0): Fraction(1, nu)}),
     })
     # B(nu) = B(nu+1) + x y B(nu+2) / ((nu+1) nu)                 [three-term]
     b_rep = HCombo({
         b_atom(nu + 1): _rf_const(1),
-        b_atom(nu + 2): _rf({(1, 1): Fraction(1, nu * (nu + 1))}),
+        b_atom(nu + 2): RatFunc.from_terms({(1, 1): Fraction(1, nu * (nu + 1))}),
     })
     out = combo.substitute(h_atom(nu - 1, 0, nu), h_rep)
     out = out.substitute(b_atom(nu), b_rep)
@@ -523,12 +516,12 @@ def _transition_down(combo: HCombo, nu: int) -> HCombo:
     # hrecg at n = nu-1 solved forward: H^{nu-1}_nu = (nu-1) H^{nu-2}_{nu-1} - x^{nu-1} B(nu)
     h_rep = HCombo({
         h_atom(nu - 2, 0, nu - 1): _rf_const(nu - 1),
-        b_atom(nu): _rf({(nu - 1, 0): Fraction(-1)}),
+        b_atom(nu): RatFunc.from_terms({(nu - 1, 0): Fraction(-1)}),
     })
     # inverted three-term: B(nu+1) = nu(nu-1) (B(nu-1) - B(nu)) / (x y)
     b_rep = HCombo({
-        b_atom(nu - 1): _rf({(0, 0): Fraction(nu * (nu - 1))}, {(1, 1): Fraction(1)}),
-        b_atom(nu): _rf({(0, 0): Fraction(-nu * (nu - 1))}, {(1, 1): Fraction(1)}),
+        b_atom(nu - 1): RatFunc.from_terms({(0, 0): Fraction(nu * (nu - 1))}, {(1, 1): 1}),
+        b_atom(nu): RatFunc.from_terms({(0, 0): Fraction(-nu * (nu - 1))}, {(1, 1): 1}),
     })
     out = combo.substitute(h_atom(nu - 1, 0, nu), h_rep)
     out = out.substitute(b_atom(nu + 1), b_rep)
@@ -557,7 +550,7 @@ def reduce_to_basis(idx: HIndex, N: int, validate: bool = True) -> HCombo:
         b_atom(idx.n - 1),
         HCombo({
             b_atom(idx.n): _rf_const(1),
-            b_atom(idx.n + 1): _rf({(1, 1): Fraction(1, idx.n * (idx.n - 1))}),
+            b_atom(idx.n + 1): RatFunc.from_terms({(1, 1): Fraction(1, idx.n * (idx.n - 1))}),
         }),
     )
     nu = idx.n

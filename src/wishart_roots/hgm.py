@@ -25,8 +25,9 @@ E_ij = sum_a c_{j,a}(x, lam_i) b_a(lam_i) give the CDF as front * det(E)
 and the density as -front * det([E | e^{-x} u1; x^{n-1} .. x^{n-m} | 0]),
 the bordered determinant of the quadrature route.
 
-The symbolic extraction coefficients over the 3^m tensor products
-(``extraction_vector``) serve the printed m = 2 coefficient table.
+The symbolic coefficients over the 3^m tensor products (``extraction_vector``
+for the CDF determinant, ``extraction_vector_dx`` for an x-derivative) serve
+the printed m = 2 coefficient table.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from scipy.integrate import solve_ivp
 from .distribution import EvalConfig, WishartParams, _det, _front_factor
 from .h_integrals import HIndex, b_atom, h_atom, h_eval, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
+from .series_engine import exact_det
 from .special_fn import hpg01
 
 Idx = Tuple[int, ...]
@@ -52,19 +54,13 @@ X0 = 2.0  # abscissas up to X0 take the series start; integrations start at or b
 MIN_GAP = 1e-5  # smallest eigenvalue gap the route accepts, relative to 1 + max lam
 
 
-def _rf2(terms: Dict[Tuple[int, int], Fraction], den=None) -> RatFunc:
-    num = MPoly(2, {e: Fraction(c) for e, c in terms.items()})
-    dd = MPoly(2, {e: Fraction(c) for e, c in den.items()}) if den else None
-    return RatFunc(num, dd)
-
-
 def x_block(N: int) -> List[List[RatFunc]]:
     """3x3 block A with d/dx [b0, b1, b2]^T = A [b0, b1, b2]^T, vars (x, lam)."""
     z = RatFunc.const(2, 0)
-    inv_x = _rf2({(0, 0): Fraction(1)}, {(1, 0): Fraction(1)})
+    inv_x = RatFunc.from_terms({(0, 0): 1}, {(1, 0): 1})
     return [
         [z, inv_x, z],
-        [z, inv_x * N - RatFunc.const(2, 1), _rf2({(0, 1): Fraction(1, N)})],
+        [z, inv_x * N - RatFunc.const(2, 1), RatFunc.from_terms({(0, 1): Fraction(1, N)})],
         [z, inv_x * N, RatFunc.const(2, -1)],
     ]
 
@@ -73,10 +69,10 @@ def lam_block(N: int) -> List[List[RatFunc]]:
     """3x3 block for d/dlam, vars (x, lam)."""
     z = RatFunc.const(2, 0)
     one = RatFunc.const(2, 1)
-    n_over_lam = _rf2({(0, 0): Fraction(N)}, {(0, 1): Fraction(1)})
+    n_over_lam = RatFunc.from_terms({(0, 0): N}, {(0, 1): 1})
     return [
         [one, z, RatFunc.const(2, Fraction(-1, N))],
-        [z, z, _rf2({(1, 0): Fraction(1, N)})],
+        [z, z, RatFunc.from_terms({(1, 0): Fraction(1, N)})],
         [z, n_over_lam, -n_over_lam],
     ]
 
@@ -189,14 +185,11 @@ def _subst_y(rf: RatFunc, nvars: int, var_index: int) -> RatFunc:
     return RatFunc(conv(rf.num), conv(rf.den))
 
 
-def extraction_vector(
-    params: WishartParams, target_N: int | None = None, what: str = "R"
-) -> Dict[Idx, RatFunc]:
-    """Coefficients c_alpha(x, lam) with  R (or the CDF determinant) equal to
-    sum_alpha c_alpha * prod_i b^{alpha_i}(lam_i).
-
-    ``what`` is "R" for the x-derivative cofactor expansion, "F" for the
-    plain determinant.  Rational functions live in (x, lam_1..lam_m).
+def extraction_vector(params: WishartParams, target_N: int | None = None) -> Dict[Idx, RatFunc]:
+    """Coefficients c_alpha(x, lam) with the CDF determinant det(E) equal to
+    sum_alpha c_alpha * prod_i b^{alpha_i}(lam_i), over the basis at level
+    ``target_N`` (by default n - m + 1).  Rational functions live in
+    (x, lam_1..lam_m); ``extraction_vector_dx`` of the result gives R.
     """
     n, m = params.n, params.m
     N = target_N if target_N is not None else n - m + 1
@@ -204,86 +197,23 @@ def extraction_vector(
     reductions = _entry_reductions(n, m, N)
     table = [[[_subst_y(reductions[j][a], nv, 1 + i) for a in range(3)] for j in range(m)]
              for i in range(m)]
-    zero = RatFunc.const(nv, 0)
     out: Dict[Idx, RatFunc] = {}
-
-    def add(alpha: Idx, val: RatFunc):
-        if val.is_zero():
-            return
-        cur = out.get(alpha)
-        s = val if cur is None else cur + val
-        if s.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-
-    if what == "F":
-        for alpha in itertools.product(range(3), repeat=m):
-            mat = [[table[i][j][alpha[i]] for j in range(m)] for i in range(m)]
-            d = _rat_det(mat)
-            add(tuple(alpha), d)
-        return out
-    if what != "R":
-        raise ValueError("what must be 'R' or 'F'")
-
-    # cofactor structure: row k is x^{n-j} e^{-x} hpg01(n-m+1; x lam_k); the
-    # boundary atom at the original parameter recombines onto the target
-    # level's pair (b1, b2) by the three-term relation
-    b_parts = _boundary_on_level(n - m + 1, N)  # coefficients of (b1, b2) in (x, y)
-    for k in range(m):
-        for a_k in (1, 2):
-            part = b_parts[a_k - 1]
-            if part.is_zero():
-                continue
-            xrow = [
-                RatFunc(MPoly(nv, {((n - j),) + (0,) * m: Fraction(1)}))
-                * _subst_y(part, nv, 1 + k)
-                for j in range(1, m + 1)
-            ]
-            for alpha in itertools.product(range(3), repeat=m):
-                if alpha[k] != a_k:
-                    continue
-                mat = []
-                for i in range(m):
-                    if i == k:
-                        mat.append(xrow)
-                    else:
-                        mat.append([table[i][j][alpha[i]] for j in range(m)])
-                add(tuple(alpha), _rat_det(mat))
+    for alpha in itertools.product(range(3), repeat=m):
+        d = exact_det([[table[i][j][alpha[i]] for j in range(m)] for i in range(m)])
+        if not d.is_zero():
+            out[alpha] = d
     return out
 
 
-def _boundary_on_level(nu: int, N: int) -> Tuple[RatFunc, RatFunc]:
-    """e^{-x} hpg01(nu; xy) as coefficients of (b1, b2) = x^N e^{-x} (hpg01(N),
-    hpg01(N+1)); requires nu <= N+1."""
-    if nu > N + 1:
-        raise ValueError("boundary parameter above the target level")
-    coeffs = {nu: RatFunc.const(2, 1)}
-    while min(coeffs) < N:
-        j = min(coeffs)
-        c = coeffs.pop(j)
-        # hpg01(j) = hpg01(j+1) + x y hpg01(j+2) / ((j+1) j)
-        coeffs[j + 1] = coeffs.get(j + 1, RatFunc.const(2, 0)) + c
-        extra = c * _rf2({(1, 1): Fraction(1, j * (j + 1))})
-        coeffs[j + 2] = coeffs.get(j + 2, RatFunc.const(2, 0)) + extra
-    xN_inv = _rf2({(0, 0): Fraction(1)}, {(N, 0): Fraction(1)})
-    return (
-        coeffs.get(N, RatFunc.const(2, 0)) * xN_inv,
-        coeffs.get(N + 1, RatFunc.const(2, 0)) * xN_inv,
-    )
-
-
-def _rat_det(mat: List[List[RatFunc]]) -> RatFunc:
-    mm = len(mat)
-    nv = mat[0][0].num.nvars
-    total = RatFunc.const(nv, 0)
-    for perm in itertools.permutations(range(mm)):
-        s = sum(1 for i in range(mm) for j in range(i + 1, mm) if perm[i] > perm[j])
-        prod = RatFunc.const(nv, (-1) ** s)
-        for i in range(mm):
-            prod = prod * mat[i][perm[i]]
-        total = total + prod
-    return total
+def _accumulate(out: Dict[Idx, RatFunc], key: Idx, val: RatFunc):
+    """out[key] += val, storing no zero coefficient."""
+    if val.is_zero():
+        return
+    s = out[key] + val if key in out else val
+    if s.is_zero():
+        del out[key]
+    else:
+        out[key] = s
 
 
 def extraction_vector_dx(
@@ -297,19 +227,8 @@ def extraction_vector_dx(
     nv = m + 1
     xb = x_block(N)
     out: Dict[Idx, RatFunc] = {}
-
-    def add(alpha: Idx, val: RatFunc):
-        if val.is_zero():
-            return
-        cur = out.get(alpha)
-        s = val if cur is None else cur + val
-        if s.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-
     for beta, c in coeffs.items():
-        add(beta, c.diff(0))
+        _accumulate(out, beta, c.diff(0))
         for slot in range(m):
             for target_a in range(3):
                 blk = xb[beta[slot]][target_a]
@@ -317,7 +236,7 @@ def extraction_vector_dx(
                     continue
                 alpha = list(beta)
                 alpha[slot] = target_a
-                add(tuple(alpha), c * _subst_y(blk, nv, 1 + slot))
+                _accumulate(out, tuple(alpha), c * _subst_y(blk, nv, 1 + slot))
     return out
 
 
@@ -416,38 +335,17 @@ def m2_paper_products_extraction(n: int) -> Tuple[List[RatFunc], List[RatFunc]]:
     exactly; the source displays x^n / x^{2n}.)
     """
     params = WishartParams(n, 2, (2.0, 1.0))  # lambdas irrelevant for symbols
-    base = extraction_vector(params, target_N=n, what="R")
-    dx = extraction_vector_dx(params, base, N=n)
+    R = extraction_vector_dx(params, extraction_vector(params, target_N=n), N=n)
     # the printed derivative is the gauged D_x = d/dx + 1 - (n-2)/x used
     # throughout the rank-8 discussion, not the bare d/dx
-    shift = _rf_nv3({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-(n - 2))},
-                    {(1, 0, 0): Fraction(1)})
-    gauged: Dict[Idx, RatFunc] = dict(dx)
-    for beta, c in base.items():
-        cur = gauged.get(beta)
-        s = c * shift if cur is None else cur + c * shift
-        if s.is_zero():
-            gauged.pop(beta, None)
-        else:
-            gauged[beta] = s
-    return (_to_paper_products(base, n), _to_paper_products_scaled(gauged, n))
+    gauged = extraction_vector_dx(params, R, N=n)
+    shift = RatFunc.from_terms({(1, 0, 0): 1, (0, 0, 0): -(n - 2)}, {(1, 0, 0): 1})
+    for beta, c in R.items():
+        _accumulate(gauged, beta, c * shift)
+    return _paper_convert(R, n, 1), _paper_convert(gauged, n, n - 1)
 
 
-def _rf_nv3(num_terms, den_terms=None) -> RatFunc:
-    num = MPoly(3, {e: Fraction(c) for e, c in num_terms.items()})
-    den = MPoly(3, {e: Fraction(c) for e, c in den_terms.items()}) if den_terms else None
-    return RatFunc(num, den)
-
-
-def _to_paper_products(coeffs: Dict[Idx, RatFunc], n: int) -> List[RatFunc]:
-    return _paper_convert(coeffs, n, scale=RatFunc.const(3, 1))
-
-
-def _to_paper_products_scaled(coeffs: Dict[Idx, RatFunc], n: int) -> List[RatFunc]:
-    return _paper_convert(coeffs, n, scale=RatFunc.const(3, n - 1))
-
-
-def _paper_convert(coeffs: Dict[Idx, RatFunc], n: int, scale: RatFunc) -> List[RatFunc]:
+def _paper_convert(coeffs: Dict[Idx, RatFunc], n: int, scale: int) -> List[RatFunc]:
     """Change of products from the tensor basis at level N = n to the eight
     printed products (see m2_paper_products_extraction)."""
     nv = 3

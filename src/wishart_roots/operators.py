@@ -33,10 +33,6 @@ class OrderDeficitError(ValueError):
     """The series is too short for the requested operator application."""
 
 
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 class DiffOperator:
     """Finite sum of coefficient * mixed-partial terms on (x, lam_1..lam_m)."""
 
@@ -68,9 +64,6 @@ class DiffOperator:
     def monomial(m: int, coef: RatFunc, dx: int = 0, dlam: Sequence[int] | None = None) -> "DiffOperator":
         d = [dx] + list(dlam or [0] * m)
         return DiffOperator(m, {tuple(d): coef})
-
-    def poly_coef(self, terms: Dict[Tuple[int, ...], Fraction]) -> RatFunc:
-        return RatFunc(MPoly(self.nvars, {e: Fraction(c) for e, c in terms.items()}))
 
     # -- algebra ------------------------------------------------------------
 
@@ -105,7 +98,7 @@ class DiffOperator:
                     coef = c2
                     factor = 1
                     for a, g in zip(d1, gamma):
-                        factor *= _binom(a, g)
+                        factor *= math.comb(a, g)
                     # differentiate c2 by (d1 - gamma)
                     for var, times in enumerate(tuple(a - g for a, g in zip(d1, gamma))):
                         for _ in range(times):
@@ -319,16 +312,15 @@ def verify_theorem2(n: int, m: int, order: int, series: LambdaSeries | None = No
     """The mixed second-order operator annihilates R; equivalently the
     Euler-shift operator has exact eigenvalue mn - m(m-1)/2 - 1 on R."""
     R = series if series is not None else build_R_series(n, m, order)
-    res = theorem2_operator(n, m).apply(R)
-    rep1 = residual_report("theorem2", {"n": n, "m": m, "order": order}, res)
+    # theorem2_operator is the Euler-shift operator minus the eigenvalue, so
+    # both statements have the one residual
     eig = Fraction(m * n - m * (m - 1) // 2 - 1)
-    res2 = euler_shift_operator(n, m).apply(R) - R.scale(eig)
-    rep2 = residual_report(
-        "theorem2_eigenvalue",
-        {"n": n, "m": m, "order": order, "eigenvalue": str(eig)},
-        res2,
-    )
-    return [rep1, rep2]
+    res = euler_shift_operator(n, m).apply(R) - R.scale(eig)
+    return [
+        residual_report("theorem2", {"n": n, "m": m, "order": order}, res),
+        residual_report("theorem2_eigenvalue",
+                        {"n": n, "m": m, "order": order, "eigenvalue": str(eig)}, res),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +535,8 @@ def printed_m2_sn_operator(n: int, second_derivative_reading: bool = True) -> Di
 
 def verify_printed(n: int, m: int, order: int, series: LambdaSeries | None = None) -> List[dict]:
     """Exact-zero residuals of the printed operators on the R-series."""
+    if m not in (2, 3):
+        raise ValueError("printed operators exist for m = 2 and m = 3 only")
     R = series if series is not None else build_R_series(n, m, order)
     reports = []
     if m == 2:
@@ -555,13 +549,11 @@ def verify_printed(n: int, m: int, order: int, series: LambdaSeries | None = Non
         reports.append(residual_report("printed_m2_order5", {"n": n, "order": order}, res))
         res = printed_m2_third_order(n).apply(R)
         reports.append(residual_report("printed_m2_third_order", {"n": n, "order": order}, res))
-    elif m == 3:
+    else:
         res = printed_m3_mixed(n).apply(R)
         reports.append(residual_report("printed_m3_mixed", {"n": n, "order": order}, res))
         res = printed_m3_sum(n).apply(R)
         reports.append(residual_report("printed_m3_sum", {"n": n, "order": order}, res))
-    else:
-        raise ValueError("printed operators exist for m = 2 and m = 3 only")
     return reports
 
 
@@ -747,7 +739,7 @@ class OreOperator:
                     continue
                 bt = b
                 for t in range(i + 1):
-                    coef = a * bt * _binom(i, t)
+                    coef = a * bt * math.comb(i, t)
                     idx = (i - t) + j
                     while idx >= len(out):
                         out.append(URat.const(0))
@@ -895,29 +887,37 @@ def _solve_left_kernel(mat: List[List[URat]], width: int):
     return full
 
 
+def ore_at_x(op: DiffOperator, x_val: Fraction) -> OreOperator:
+    """``op`` at a rational x as an Ore operator in the one lam it
+    differentiates.  Its coefficients must be polynomials in x and that lam."""
+    lams = {i for d in op.terms for i, k in enumerate(d[1:]) if k}
+    if len(lams) > 1 or any(d[0] for d in op.terms):
+        raise ValueError("an Ore operator takes derivatives in one lam only")
+    var = 1 + (lams.pop() if lams else 0)
+    x_val = Fraction(x_val)
+    coeffs = [URat.const(0)] * (op.max_order() + 1)
+    for d, c in op.terms.items():
+        if not c.is_poly():
+            raise ValueError("an Ore operator needs polynomial coefficients")
+        poly: Dict[int, Fraction] = {}
+        for e, v in c.as_poly().terms.items():
+            if any(p for i, p in enumerate(e[1:], start=1) if i != var):
+                raise ValueError("coefficient depends on another lam")
+            poly[e[var]] = poly.get(e[var], 0) + v * x_val ** e[0]
+        coeffs[d[var]] = URat([poly.get(k, 0) for k in range(max(poly) + 1)])
+    return OreOperator(coeffs)
+
+
 def p_operator_ore(M: int, x_val: Fraction) -> OreOperator:
     """P_M[y] at a rational specialization of x."""
-    return OreOperator([URat.const(-x_val), URat.const(M + 1), URat([0, 1])])
+    return ore_at_x(build_P(M, 0, 1), x_val)
 
 
 def q_operator_ore(N: int, M: int, x_val: Fraction) -> OreOperator:
     """Q_{N,M}[y] at a rational specialization of x."""
-    return OreOperator([
-        URat.const(x_val),
-        URat.const(-(x_val + N + 1)),
-        URat([M + 2, -1]),
-        URat([0, 1]),
-    ])
+    return ore_at_x(build_Q(N, M, 0, 1), x_val)
 
 
 def order5_ore(n: int, x_val: Fraction) -> OreOperator:
     """The printed fifth-order lam_1 operator at a rational x."""
-    xv = Fraction(x_val)
-    return OreOperator([
-        URat.const(-xv * xv),
-        URat.const(xv * (2 * n + xv + 1)),
-        URat([-(n * n + 2 * n + 2 * n * xv), 2 * xv]),
-        URat([n * n + n, -(2 * xv + 2 * n + 3)]),
-        URat([0, 2 * n + 2, -1]),
-        URat([0, 0, 1]),
-    ])
+    return ore_at_x(printed_order5_operator(n), x_val)

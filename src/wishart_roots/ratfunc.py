@@ -45,9 +45,6 @@ class MPoly:
         e[i] = power
         return MPoly(nvars, {tuple(e): Fraction(1)})
 
-    def copy_terms(self) -> Dict[Expo, Fraction]:
-        return dict(self.terms)
-
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -151,11 +148,6 @@ class MPoly:
             return self.terms[(0,) * self.nvars]
         raise ValueError("not a constant polynomial")
 
-    def max_degree(self, i: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def min_degree(self, i: int) -> int:
         if not self.terms:
             return 0
@@ -218,8 +210,11 @@ class RatFunc:
         return RatFunc(MPoly.const(nvars, c))
 
     @staticmethod
-    def from_poly(p: MPoly) -> "RatFunc":
-        return RatFunc(p)
+    def from_terms(num: Dict[Expo, Fraction], den: Dict[Expo, Fraction] | None = None) -> "RatFunc":
+        """num/den from exponent-to-coefficient dicts; the exponent tuples'
+        length is the variable count."""
+        nvars = len(next(iter(num)))
+        return RatFunc(MPoly(nvars, num), MPoly(nvars, den) if den else None)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exp_poly import ExpPoly
 from .h_integrals import HIndex, h_series
@@ -52,10 +52,6 @@ class LambdaSeries:
         else:
             self.valid = tuple(self.valid)
         self.coeffs = {tuple(q): c for q, c in self.coeffs.items() if not c.is_zero()}
-
-    @property
-    def valid_order(self) -> int:
-        return min(self.valid) if self.m else self.order
 
     def copy(self) -> "LambdaSeries":
         return LambdaSeries(self.m, self.order, dict(self.coeffs), self.valid)
@@ -274,17 +270,34 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _det_expoly(mat: List[List[ExpPoly]]) -> ExpPoly:
-    """Permutation-expansion determinant of a small ExpPoly matrix."""
-    mm = len(mat)
-    total = ExpPoly.zero()
-    for perm in itertools.permutations(range(mm)):
-        sign = _perm_sign(perm)
-        prod = ExpPoly.one()
-        for i in range(mm):
-            prod = prod * mat[i][perm[i]]
-        total = total + prod.scale(sign)
-    return total
+def laplace_minors(rows: Sequence[Sequence]) -> Callable[[Tuple[int, ...]], object]:
+    """The exact determinant of the package: ``minor(cols)`` is
+    det(rows[i][cols[j]]) for a tuple of len(rows) column indices, by
+    Laplace expansion along the top row.  The minors of the lower rows are
+    memoized, so column tuples sharing them share the work.  Entries are
+    exact ring elements (ExpPoly, RatFunc)."""
+    m = len(rows)
+    memo: Dict[Tuple[int, ...], object] = {}
+
+    def minor(cols: Tuple[int, ...]):
+        if len(cols) == 1:
+            return rows[m - 1][cols[0]]
+        got = memo.get(cols)
+        if got is None:
+            top = rows[m - len(cols)]
+            for pos, c in enumerate(cols):
+                term = top[c] * minor(cols[:pos] + cols[pos + 1:])
+                term = term if pos % 2 == 0 else -term
+                got = term if got is None else got + term
+            memo[cols] = got
+        return got
+
+    return minor
+
+
+def exact_det(mat: Sequence[Sequence]):
+    """Determinant of a square matrix of exact ring elements."""
+    return laplace_minors(mat)(tuple(range(len(mat))))
 
 
 def det_series(rows: List[List[ExpPoly]], order: int) -> SchurExpansion:
@@ -292,33 +305,15 @@ def det_series(rows: List[List[ExpPoly]], order: int) -> SchurExpansion:
     strictly increasing tuples:  sum_q det(c^{(i)}_{q_j}) det(lam_i^{q_j}).
 
     ``rows[i]`` holds the coefficients c^{(i)}_0 .. c^{(i)}_order (at least).
-    Laplace expansion with memoized minors shares the lower-row 2x2 (and
-    deeper) determinants across exponent tuples.
     """
     m = len(rows)
     for r in rows:
         if len(r) < order + 1:
             raise ValueError("rows need at least order+1 coefficients")
-    minors: Dict[Tuple[int, Tuple[int, ...]], ExpPoly] = {}
-
-    def minor(i: int, cols: Tuple[int, ...]) -> ExpPoly:
-        if len(cols) == 1:
-            return rows[i][cols[0]]
-        key = (i, cols)
-        got = minors.get(key)
-        if got is not None:
-            return got
-        total = ExpPoly.zero()
-        for pos, c in enumerate(cols):
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
-            term = rows[i][c] * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        minors[key] = total
-        return total
-
+    minor = laplace_minors(rows)
     items = []
     for q in itertools.combinations(range(order + 1), m):
-        c = minor(0, q)
+        c = minor(q)
         if not c.is_zero():
             items.append((q, c))
     return SchurExpansion(m, order, items)
@@ -484,6 +479,6 @@ def lemma7_check(matrix: List[List[ExpPoly]], scalars: Sequence) -> bool:
             [matrix[i][j].scale(cs[j]) if i == ell else matrix[i][j] for j in range(mm)]
             for i in range(mm)
         ]
-        lhs = lhs + _det_expoly(scaled)
-    rhs = _det_expoly(matrix).scale(sum(cs, Fraction(0)))
+        lhs = lhs + exact_det(scaled)
+    rhs = exact_det(matrix).scale(sum(cs, Fraction(0)))
     return lhs == rhs

@@ -52,3 +52,8 @@ def test_workloads_package_constructs():
     # every named cache is an lru_cache the run can clear and read
     assert set(pkg.cache_info()) == set(pkg.caches)
     assert {cfg.method for cfg in pkg.cfg.values()} == {"quadrature", "conjecture"}
+
+
+def test_lclm_operation_runs():
+    # the verify workload builds the Ore operators through these names
+    assert load("workloads").Package().run({"lclm": [(4, "2")]}) == [True]

@@ -103,6 +103,20 @@ class TestTable:
         assert code == 1
         assert "bad grid" in err
 
+    def test_cdf_conjecture_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--n", "4", "--m", "2", "--lambda", "2,1",
+                                 "--x-min", "1", "--x-max", "3", "--points", "3",
+                                 "--what", "cdf", "--method", "conjecture")
+        assert code == 1
+        assert "density" in err and out == ""
+
+    def test_method_all_cdf_leaves_out_conjecture(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--n", "3", "--m", "1", "--lambda", "1",
+                               "--x-min", "1", "--x-max", "3", "--points", "2",
+                               "--what", "cdf", "--method", "all")
+        assert code == 0
+        assert out.splitlines()[0] == "x,cdf_quadrature,cdf_series,cdf_hgm"
+
     @pytest.mark.parametrize("what", ["pdf", "cdf"])
     def test_hgm_sweep_matches_point_calls(self, capsys, what):
         from wishart_roots import hgm
@@ -182,6 +196,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "recurrences")
         assert code == 0
         assert json.loads(out)[0]["pass"]
+
+    @pytest.mark.parametrize("m", ["1", "4"])
+    def test_printed_without_operators_is_usage_error(self, capsys, m):
+        code, out, err = run_cli(capsys, "verify", "printed", "--n", "5", "--m", m)
+        assert code == 1
+        assert "m = 2 and m = 3" in err and out == ""
+
+    def test_all_skips_printed_without_operators(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--n", "3", "--m", "1", "--order", "4")
+        assert code == 0
+        checks = [r["check"] for r in json.loads(out)]
+        assert "recurrences" in checks and not any(c.startswith("printed") for c in checks)
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         from wishart_roots import operators as ops

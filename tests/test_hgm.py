@@ -185,7 +185,7 @@ class TestExtraction:
         from wishart_roots.ratfunc import MPoly
 
         p = WishartParams(4, 1, (1.0,))
-        ev = extraction_vector(p, what="R")
+        ev = extraction_vector_dx(p, extraction_vector(p))
         assert set(ev) == {(1,)}
         # R_{n,1} = x^{n-1} e^{-x} hpg01(n; x lam) = b1 / x
         inv_x = RatFunc(MPoly.const(2, 1), MPoly.var(2, 0))
@@ -193,9 +193,9 @@ class TestExtraction:
 
     def test_double_H_term_absent(self):
         p = WishartParams(4, 2, (2.0, 1.0))
-        assert (0, 0) not in extraction_vector(p, what="R")
+        assert (0, 0) not in extraction_vector_dx(p, extraction_vector(p))
         # ... but present for the plain determinant
-        assert (0, 0) in extraction_vector(p, what="F")
+        assert (0, 0) in extraction_vector(p)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_printed_m2_tables_exact(self, n):
@@ -206,7 +206,7 @@ class TestExtraction:
 
     def test_dx_vector_matches_finite_differences(self):
         p = WishartParams(4, 2, (2.0, 1.0))
-        coeffs = extraction_vector(p, what="R")
+        coeffs = extraction_vector_dx(p, extraction_vector(p))
         dx_coeffs = extraction_vector_dx(p, coeffs)
         h = 1e-5
         dn, mid, up = trajectory(p, [0.9 - h, 0.9, 0.9 + h], CFG)
@@ -221,7 +221,9 @@ class TestExtraction:
         # the float determinant against the multilinear extraction over the
         # tensor products of the returned basis values
         p = WishartParams(n, m, lams)
-        coeffs = extraction_vector(p, what=what)
+        coeffs = extraction_vector(p)
+        if what == "R":
+            coeffs = extraction_vector_dx(p, coeffs)
         for x, values, value, _ in trajectory(p, [2.0, 6.0, 12.0], CFG, what=what):
             assert value == pytest.approx(eval_extraction(coeffs, x, values, p.lambdas), rel=1e-7)
 

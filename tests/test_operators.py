@@ -16,6 +16,7 @@ from wishart_roots.operators import (
     gauge_translate,
     lclm,
     order5_ore,
+    ore_at_x,
     p_operator_ore,
     printed_m2_generators,
     printed_m2_third_order,
@@ -337,3 +338,26 @@ class TestLclm:
         # left-multiple property
         for op in (p_operator_ore(n - 2, x), q_operator_ore(n, n - 2, x)):
             assert L.right_divmod(op)[1].is_zero()
+
+
+class TestOreConversion:
+    def test_p_and_q_coefficients(self):
+        assert p_operator_ore(2, Fraction(3)) == OreOperator(
+            [URat.const(-3), URat.const(3), URat([0, 1])])
+        x = Fraction(-3, 7)
+        assert q_operator_ore(4, 2, x) == OreOperator(
+            [URat.const(x), URat.const(-x - 5), URat([4, -1]), URat([0, 1])])
+
+    def test_converts_the_lam_it_differentiates(self):
+        # P on lam_2 of an m = 2 operator is P on lam_1 of an m = 1 one
+        assert ore_at_x(build_P(3, 1, 2), 2) == p_operator_ore(3, Fraction(2))
+
+    @pytest.mark.parametrize("op", [
+        build_P(2, 0, 2) + build_P(2, 1, 2),  # derivatives in two lams
+        DiffOperator.monomial(1, RatFunc.const(2, 1), 1, [0]),  # an x-derivative
+        DiffOperator.monomial(1, RatFunc(MPoly.const(2, 1), MPoly.var(2, 1)), 0, [1]),
+        DiffOperator.monomial(2, RatFunc(MPoly.var(3, 2)), 0, [1, 0]),  # lam_2 in a coefficient
+    ])
+    def test_rejects_what_it_cannot_convert(self, op):
+        with pytest.raises(ValueError):
+            ore_at_x(op, 1)
