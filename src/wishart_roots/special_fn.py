@@ -75,7 +75,9 @@ def bessel_i_check(n: int, z: float) -> float:
     return (z / 2.0) ** n / math.factorial(n) * hpg01(n + 1, z * z / 4.0)
 
 
-@lru_cache(maxsize=400_000)
+# bounded: every Monte Carlo comparison asks for fresh x values, which
+# would otherwise pile up for the life of the process
+@lru_cache(maxsize=8192)
 def incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma gamma(a, x) = int_0^x t^{a-1} e^{-t} dt.
 
