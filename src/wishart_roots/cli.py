@@ -16,6 +16,7 @@ from typing import List, Sequence
 
 from . import distribution, h_integrals, hgm, mc_validator, operators
 from .distribution import EvalConfig, WishartParams
+from .series_engine import build_R_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -218,14 +219,22 @@ def cmd_mc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports: List[dict] = []
+    checks = []
     if args.target in ("operators", "all"):
-        reports += operators.verify_theorem1(args.n, args.m, args.order)
+        checks.append(operators.verify_theorem1)
     if args.target in ("theorem2", "all"):
-        reports += operators.verify_theorem2(args.n, args.m, args.order)
-    # "all" skips the printed operators at an m that has none
+        checks.append(operators.verify_theorem2)
+    # "all" skips the printed operators at an m that has none; "printed"
+    # refuses such an m before the series is built
+    if args.target == "printed":
+        operators.require_printed_m(args.m)
     if args.target == "printed" or (args.target == "all" and args.m in (2, 3)):
-        reports += operators.verify_printed(args.n, args.m, args.order)
+        checks.append(operators.verify_printed)
+    reports: List[dict] = []
+    if checks:
+        R = build_R_series(args.n, args.m, args.order)
+        for check in checks:
+            reports += check(args.n, args.m, args.order, series=R)
     if args.target in ("recurrences", "all"):
         reports.append(h_integrals.verify_recurrences())
     ok = all(r["pass"] for r in reports)

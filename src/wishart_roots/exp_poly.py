@@ -48,6 +48,14 @@ class ExpPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def wrap(terms: Dict[Term, Fraction]) -> "ExpPoly":
+        """An element on ``terms`` as given, unchecked and uncopied: the map
+        must hold only nonzero Fractions at integer (x, E) powers, E >= 0."""
+        res = ExpPoly.__new__(ExpPoly)
+        res.terms = terms
+        return res
+
+    @staticmethod
     def zero() -> "ExpPoly":
         return ExpPoly()
 
@@ -84,14 +92,10 @@ class ExpPoly:
                 out.pop(key, None)
             else:
                 out[key] = s
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = out
-        return res
+        return ExpPoly.wrap(out)
 
     def __neg__(self) -> "ExpPoly":
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return ExpPoly.wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
@@ -110,9 +114,7 @@ class ExpPoly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = out
-        return res
+        return ExpPoly.wrap(out)
 
     __rmul__ = __mul__
 
@@ -120,15 +122,11 @@ class ExpPoly:
         c = Fraction(c)
         if c == 0:
             return ExpPoly.zero()
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        return ExpPoly.wrap({k: v * c for k, v in self.terms.items()})
 
     def mul_xpow(self, i: int) -> "ExpPoly":
         """Multiply by x^i (i may be negative)."""
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = {(a + i, b): c for (a, b), c in self.terms.items()}
-        return res
+        return ExpPoly.wrap({(a + i, b): c for (a, b), c in self.terms.items()})
 
     def __pow__(self, k: int) -> "ExpPoly":
         if k < 0:
@@ -162,9 +160,7 @@ class ExpPoly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        res = ExpPoly.__new__(ExpPoly)
-        res.terms = out
-        return res
+        return ExpPoly.wrap(out)
 
     def eval(self, x0: float) -> float:
         """Numeric value at x = x0.

@@ -103,23 +103,10 @@ class LambdaSeries:
         return res
 
     def scale(self, c) -> "LambdaSeries":
-        """Multiply by a Fraction or an ExpPoly."""
-        if isinstance(c, ExpPoly):
-            out = {q: v * c for q, v in self.coeffs.items()}
-        else:
-            c = Fraction(c)
-            out = {q: v.scale(c) for q, v in self.coeffs.items()}
-        out = {q: v for q, v in out.items() if not v.is_zero()}
+        """Multiply by a rational constant."""
+        c = Fraction(c)
+        out = {q: v.scale(c) for q, v in self.coeffs.items()}
         return LambdaSeries(self.m, self.order, out, self.valid)
-
-    def mul_monomial(self, expo: Expo) -> "LambdaSeries":
-        """Multiply by lam^expo (componentwise nonnegative)."""
-        res = LambdaSeries(self.m, self.order, {}, self.valid)
-        out: Dict[Expo, ExpPoly] = {}
-        for q, c in self.coeffs.items():
-            res._store(out, tuple(a + b for a, b in zip(q, expo)), c)
-        res.coeffs = out
-        return res
 
     def diff_lambda(self, i: int) -> "LambdaSeries":
         out: Dict[Expo, ExpPoly] = {}

@@ -214,8 +214,8 @@ class TestVerify:
 
         monkeypatch.setattr(
             ops, "verify_theorem1",
-            lambda n, m, order: [{"check": "theorem1_product", "params": {},
-                                  "max_residual_terms": 3, "pass": False}],
+            lambda n, m, order, series=None: [{"check": "theorem1_product", "params": {},
+                                               "max_residual_terms": 3, "pass": False}],
         )
         code, out, _ = run_cli(capsys, "verify", "operators", "--n", "3", "--m", "2")
         assert code == 3

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from wishart_roots.operators import (
     ore_at_x,
     p_operator_ore,
     printed_m2_generators,
+    printed_m2_sn_operator,
     printed_m2_third_order,
     printed_m3_mixed,
     printed_m3_sum,
@@ -165,6 +167,113 @@ class TestApply:
             for q, c in diff.coeffs.items()
             if all(e <= v for e, v in zip(q, diff.valid))
         )
+
+
+def reference_apply(op, series):
+    """DiffOperator.apply in Fraction arithmetic, as the package had it
+    before the integer image: one derivative chain per term, then one
+    lam-shift and ExpPoly product per coefficient monomial."""
+    if series.m != op.m:
+        raise ValueError("variable-count mismatch")
+    total = None
+    for d, c in op.terms.items():
+        if not c.is_poly():
+            raise ValueError("rational coefficients: clear denominators before apply()")
+        poly = c.as_poly()
+        cur = series
+        for _ in range(d[0]):
+            cur = cur.diff_x()
+        for var in range(op.m):
+            for _ in range(d[1 + var]):
+                cur = cur.diff_lambda(var)
+            if cur.valid[var] < 0:
+                raise OrderDeficitError("series order too small for operator")
+        piece = None
+        for e, coef in poly.terms.items():
+            if any(p < 0 for p in e[1:]):
+                raise ValueError("negative lam exponent in operator coefficient")
+            factor = ExpPoly.term(coef, e[0], 0)
+            shifted = {tuple(a + b for a, b in zip(q, e[1:])): v * factor
+                       for q, v in cur.coeffs.items()}
+            contrib = LambdaSeries(series.m, series.order,
+                                   {q: v for q, v in shifted.items() if max(q) <= series.order},
+                                   cur.valid)
+            piece = contrib if piece is None else piece + contrib
+        if piece is None:
+            continue
+        total = piece if total is None else total + piece
+    if total is None:
+        return LambdaSeries(series.m, series.order, {}, series.valid)
+    return total
+
+
+def sweep_operators(n, m):
+    """Every T_k, the Euler shift, the Theorem-2 operator and every printed
+    operator at (n, m), including the ones that do not annihilate R."""
+    ops = [build_T(k, n, m, var) for k in range(1, m + 1) for var in range(m)]
+    ops += [euler_shift_operator(n, m), theorem2_operator(n, m)]
+    if m == 2:
+        ops += printed_m2_generators(n)
+        ops += [printed_order5_operator(n), printed_m2_third_order(n),
+                printed_m2_sn_operator(n, True), printed_m2_sn_operator(n, False)]
+    if m == 3:
+        ops += [printed_m3_mixed(n), printed_m3_sum(n), printed_m3_sum(n, as_printed=True)]
+    return ops
+
+
+def assert_same_apply(op, series):
+    got, ref = op.apply(series), reference_apply(op, series)
+    assert got.coeffs == ref.coeffs
+    assert got.valid == ref.valid
+    assert got.order == ref.order
+    return got
+
+
+class TestApplyMatchesReference:
+    @pytest.mark.parametrize("n,m,order", [(4, 2, 8), (5, 3, 4), (3, 1, 6), (5, 2, 6)])
+    def test_sweep(self, n, m, order):
+        R = build_R_series(n, m, order)
+        residuals = [assert_same_apply(op, R) for op in sweep_operators(n, m)]
+        # the chained Theorem-1 products, link by link
+        for k in range(1, m + 1):
+            cur = R
+            for var in range(m):
+                cur = assert_same_apply(build_T(k, n, m, var), cur)
+        # the sweep covers nonzero residuals, and at m = 2 the S_n
+        # operator's Fraction(1, 2) coefficients
+        assert any(not r.is_zero_on_valid_box() for r in residuals)
+        if m == 2:
+            sn = printed_m2_sn_operator(n)
+            assert any(v.denominator == 2 for c in sn.terms.values()
+                       for v in c.as_poly().terms.values())
+
+    def test_laurent_series(self):
+        s = LambdaSeries(2, 4, {
+            (0, 0): ExpPoly({(-2, 1): Fraction(1, 3), (0, 0): Fraction(5, 7)}),
+            (1, 0): ExpPoly({(-1, 0): Fraction(-2, 5), (1, 2): Fraction(3)}),
+            (2, 3): ExpPoly({(-3, 2): Fraction(7, 6), (2, 0): Fraction(-1, 4)}),
+            (4, 4): ExpPoly({(-1, 1): Fraction(1, 9)}),
+        })
+        for op in (euler_shift_operator(4, 2), printed_m2_generators(4)[2],
+                   printed_m2_third_order(4), printed_m2_sn_operator(4)):
+            assert_same_apply(op, s)
+
+    def test_order_deficit_at_6_3_3(self):
+        R = build_R_series(6, 3, 3)
+        for apply in (printed_m3_sum(6).apply, lambda s: reference_apply(printed_m3_sum(6), s)):
+            with pytest.raises(OrderDeficitError):
+                apply(R)
+
+    def test_apply_leaves_no_cyclic_garbage(self):
+        op = printed_m2_generators(4)[2]
+        R = build_R_series(4, 2, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            op.apply(R)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTheorems:
