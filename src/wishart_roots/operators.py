@@ -634,102 +634,150 @@ def verify_printed(n: int, m: int, order: int, series: LambdaSeries | None = Non
 # univariate Ore algebra over Q(y): right division and LCLM
 # ---------------------------------------------------------------------------
 
-def _up_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and p[-1] == 0:
+# Polynomials in y are little-endian lists of Python ints, trimmed so the
+# last entry is nonzero; [] is zero.
+
+def _ip_trim(p: List[int]) -> List[int]:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _up_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
+def _ip_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _up_trim(out)
+    return _ip_trim(out)
 
 
-def _up_neg(a):
-    return [-c for c in a]
-
-
-def _up_mul(a, b):
+def _ip_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _up_trim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
-def _up_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[i + d] -= c * cb
-        _up_trim(a)
-    return _up_trim(q), a
+def _ip_diff(a):
+    return [a[i] * i for i in range(1, len(a))]
 
 
-def _up_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _up_divmod(a, b)
-        a, b = b, r
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
+def _ip_exquo(a, b):
+    """a / b in Z[y], for a b that divides a exactly."""
+    nb = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - nb)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb] // lb
+        q[k] = c
+        if c:
+            for i in range(nb):
+                r[k + i] -= c * b[i]
+    return q
 
 
-def _up_diff(a):
-    return _up_trim([a[i] * i for i in range(1, len(a))])
+def _ip_primitive(a):
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _ip_prem(a, b):
+    """A pseudo-remainder of a by b: c*a - q*b with deg < deg b, c a nonzero int."""
+    nb = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) > nb:
+        c = r[-1]
+        d = len(r) - 1 - nb
+        g = math.gcd(c, lb)
+        s, c = lb // g, c // g
+        r.pop()
+        if s != 1:
+            r = [v * s for v in r]
+        for i in range(nb):
+            r[d + i] -= c * b[i]
+        _ip_trim(r)
+    return r
+
+
+def _ip_gcd(a, b):
+    """gcd of nonzero a, b in Q[y] as a primitive Z[y] polynomial, by the
+    primitive pseudo-remainder sequence; [1] when they are coprime."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    a, b = _ip_primitive(a), _ip_primitive(b)
+    while True:
+        r = _ip_prem(a, b)
+        if not r:
+            return b if b[-1] > 0 else [-c for c in b]
+        if len(r) == 1:
+            return [1]
+        a, b = b, _ip_primitive(r)
+
+
+def _lowest(num, den) -> "URat":
+    """num/den in URat's canonical form."""
+    out = object.__new__(URat)
+    if not num:
+        out.num, out.den = [], [1]
+        return out
+    g = _ip_gcd(num, den)
+    if len(g) > 1:
+        num, den = _ip_exquo(num, g), _ip_exquo(den, g)
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = [v // c for v in num]
+        den = [v // c for v in den]
+    out.num, out.den = num, den
+    return out
 
 
 class URat:
-    """Rational function in one variable over Q, gcd-normalized."""
+    """Rational function in one variable over Q, held as Z[y] num/den in the
+    canonical form: gcd(num, den) = 1 in Q[y], integer content 1 across num
+    and den together, den's leading coefficient positive, zero as []/[1].
+    Equal values therefore have identical ``num`` and ``den`` lists."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = _up_trim([Fraction(c) for c in num])
-        den = _up_trim([Fraction(c) for c in (den if den is not None else [1])])
+    def __init__(self, num, den=(1,)):
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        ln = math.lcm(*(c.denominator for c in num))
+        ld = math.lcm(*(c.denominator for c in den))
+        num = _ip_trim([c.numerator * (ln // c.denominator) * ld for c in num])
+        den = _ip_trim([c.numerator * (ld // c.denominator) * ln for c in den])
         if not den:
             raise ZeroDivisionError
-        if not num:
-            den = [Fraction(1)]
-        else:
-            g = _up_gcd(num, den)
-            if len(g) > 1:
-                num, _ = _up_divmod(num, g)
-                den, _ = _up_divmod(den, g)
-            lc = den[-1]
-            num = [c / lc for c in num]
-            den = [c / lc for c in den]
-        self.num, self.den = num, den
+        r = _lowest(num, den)
+        self.num, self.den = r.num, r.den
 
     @staticmethod
     def const(c):
-        return URat([c])
+        c = Fraction(c)
+        return _lowest([c.numerator] if c else [], [c.denominator])
 
     def is_zero(self):
         return not self.num
 
     def __add__(self, o):
-        return URat(_up_add(_up_mul(self.num, o.den), _up_mul(o.num, self.den)),
-                    _up_mul(self.den, o.den))
+        a, b, c, d = self.num, self.den, o.num, o.den
+        return _lowest(_ip_add(_ip_mul(a, d), _ip_mul(c, b)), _ip_mul(b, d))
 
     def __neg__(self):
-        return URat(_up_neg(self.num), self.den)
+        out = object.__new__(URat)
+        out.num, out.den = [-c for c in self.num], self.den
+        return out
 
     def __sub__(self, o):
         return self + (-o)
@@ -737,29 +785,27 @@ class URat:
     def __mul__(self, o):
         if not isinstance(o, URat):
             o = URat.const(o)
-        return URat(_up_mul(self.num, o.num), _up_mul(self.den, o.den))
+        return _lowest(_ip_mul(self.num, o.num), _ip_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if o.is_zero():
             raise ZeroDivisionError
-        return URat(_up_mul(self.num, o.den), _up_mul(self.den, o.num))
+        return _lowest(_ip_mul(self.num, o.den), _ip_mul(self.den, o.num))
 
     def diff(self):
-        return URat(
-            _up_add(_up_mul(_up_diff(self.num), self.den),
-                    _up_neg(_up_mul(self.num, _up_diff(self.den)))),
-            _up_mul(self.den, self.den),
-        )
+        a, b = self.num, self.den
+        return _lowest(_ip_add(_ip_mul(_ip_diff(a), b), [-v for v in _ip_mul(a, _ip_diff(b))]),
+                       _ip_mul(b, b))
 
     def __eq__(self, o):
         if not isinstance(o, URat):
             return NotImplemented
-        return _up_mul(self.num, o.den) == _up_mul(o.num, self.den)
+        return self.num == o.num and self.den == o.den
 
     def __str__(self):
-        if self.den == [Fraction(1)]:
+        if self.den == [1]:
             return str(self.num)
         return f"{self.num}/{self.den}"
 

@@ -55,5 +55,8 @@ def test_workloads_package_constructs():
 
 
 def test_lclm_operation_runs():
-    # the verify workload builds the Ore operators through these names
-    assert load("workloads").Package().run({"lclm": [(4, "2")]}) == [True]
+    # the verify workload's exact LCLM operation, on every case it times
+    workloads = load("workloads")
+    cases = workloads.LCLM_CASES
+    assert len(cases) == 4
+    assert workloads.Package().run({"lclm": cases}) == [True] * len(cases)

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wishart_roots.exp_poly import ExpPoly
 from wishart_roots.operators import (
@@ -439,7 +441,9 @@ class TestLclm:
         total = L.coeffs[0] + L.coeffs[1] + L.coeffs[2]
         assert total.is_zero()
 
-    @pytest.mark.parametrize("n,x", [(4, Fraction(2)), (5, Fraction(1, 2)), (6, Fraction(3))])
+    # every case of the benchmark's LCLM_CASES
+    @pytest.mark.parametrize("n,x", [(4, Fraction(2)), (5, Fraction(1, 2)), (6, Fraction(3)),
+                                     (3, Fraction(5))])
     def test_matches_printed_order5(self, n, x):
         L = lclm([p_operator_ore(n - 2, x), q_operator_ore(n, n - 2, x)])
         assert L.order == 5
@@ -447,6 +451,136 @@ class TestLclm:
         # left-multiple property
         for op in (p_operator_ore(n - 2, x), q_operator_ore(n, n - 2, x)):
             assert L.right_divmod(op)[1].is_zero()
+
+    def test_mismatched_x_is_not_the_printed_operator(self):
+        n, xp, xq = 4, Fraction(2), Fraction(3)
+        P, Q = p_operator_ore(n - 2, xp), q_operator_ore(n, n - 2, xq)
+        L = lclm([P, Q])
+        assert L.order == 5
+        assert L.right_divmod(P)[1].is_zero() and L.right_divmod(Q)[1].is_zero()
+        assert L != order5_ore(n, xp).monic()
+        assert L != order5_ore(n, xq).monic()
+
+    def test_order_guard_below_the_lclm_raises(self):
+        x = Fraction(2)
+        with pytest.raises(ArithmeticError):
+            lclm([p_operator_ore(2, x), q_operator_ore(4, 2, x)], max_order=4)
+
+
+def q_eval(poly, y):
+    return sum(Fraction(c) * y ** i for i, c in enumerate(poly))
+
+
+def q_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += Fraction(ca) * cb
+    return out
+
+
+def q_diff(poly):
+    return [Fraction(c) * i for i, c in enumerate(poly)][1:]
+
+
+def q_gcd_degree(a, b):
+    """Degree of gcd(a, b) in Q[y] by the Euclidean algorithm over Fraction."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            c, d = a[-1] / b[-1], len(a) - len(b)
+            for i, cb in enumerate(b):
+                a[i + d] -= c * cb
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def assert_canonical(r):
+    assert all(type(c) is int for c in r.num + r.den)
+    assert r.den and r.den[-1] > 0
+    assert not r.num or r.num[-1] != 0
+    if not r.num:
+        assert r.den == [1]
+    else:
+        assert math.gcd(*r.num, *r.den) == 1
+        assert q_gcd_degree(r.num, r.den) == 0
+
+
+coefs = st.one_of(st.integers(-6, 6),
+                  st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+polys = st.lists(coefs, max_size=4)
+nonzero_polys = polys.filter(lambda p: any(p))
+# ten points: the two input denominators (degree <= 3) vanish at six at most
+POINTS = [Fraction(v) for v in (0, 1, -1, 2, -3, 5, 7)] + [Fraction(1, 3), Fraction(-7, 2),
+                                                          Fraction(5, 4)]
+
+
+def value(num, den, y):
+    return q_eval(num, y) / q_eval(den, y)
+
+
+class TestURat:
+    """The integer-coefficient URat against Fraction arithmetic at points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, nonzero_polys, polys, nonzero_polys)
+    def test_field_ops_and_diff_agree_with_fraction_values(self, an, ad, bn, bd):
+        a, b = URat(an, ad), URat(bn, bd)
+        results = {"+": a + b, "-": a - b, "*": a * b, "diff": a.diff()}
+        if b.num:
+            results["/"] = a / b
+        for r in results.values():
+            assert_canonical(r)
+        checked = 0
+        for y in POINTS:
+            # a result's denominator divides products of ad, bd and, for
+            # a / b, bn, so it cannot vanish where none of those does
+            if 0 in (q_eval(ad, y), q_eval(bd, y)):
+                continue
+            va, vb = value(an, ad, y), value(bn, bd, y)
+            da = (q_eval(q_diff(an), y) * q_eval(ad, y)
+                  - q_eval(an, y) * q_eval(q_diff(ad), y)) / q_eval(ad, y) ** 2
+            expect = {"+": va + vb, "-": va - vb, "*": va * vb, "diff": da}
+            if vb:
+                expect["/"] = va / vb
+            for op, r in results.items():
+                if op not in expect:
+                    continue
+                assert value(r.num, r.den, y) == expect[op], op
+            checked += 1
+        assert checked >= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, nonzero_polys, nonzero_polys, coefs.filter(bool))
+    def test_equal_values_have_identical_lists(self, n, d, g, k):
+        # n*g*k / d*g is n*k / d after cancelling g, however it is written
+        gn = [c * k for c in q_mul(n, g)]
+        r, s = URat(gn, q_mul(d, g)), URat([c * k for c in n], d)
+        assert_canonical(r)
+        assert (r.num, r.den) == (s.num, s.den)
+        assert r == s
+        assert ((r + s) - s).num == r.num and ((r + s) - s).den == r.den
+
+    def test_canonical_examples(self):
+        zero = URat([0, 0], [3, -4])
+        assert (zero.num, zero.den) == ([], [1])
+        assert URat.const(0) == zero == URat([1, 2]) - URat([1, 2])
+        half = URat([Fraction(1, 2), 1])
+        assert (half.num, half.den) == ([1, 2], [2])
+        assert half == URat([1, 2], [2]) == URat([2, 4], [4])
+        assert half != URat([1, 2])
+        neg = URat([1], [0, -2])
+        assert (neg.num, neg.den) == ([-1], [0, 2])
+        c = URat.const(Fraction(-3, 7))
+        assert (c.num, c.den) == ([-3], [7])
+        with pytest.raises(ZeroDivisionError):
+            URat([1], [0])
+        with pytest.raises(ZeroDivisionError):
+            URat([1]) / zero
 
 
 class TestOreConversion:
