@@ -134,6 +134,15 @@ def _front_factor(params: WishartParams) -> float:
     return (-1) ** (m * (m - 1) // 2) * math.exp(-sum(params.lambdas)) / math.factorial(n - m) ** m
 
 
+def _det_dx(n: int, x: float, rows: List[List[float]]) -> float:
+    """d/dx det(H^{n-j}_N[lam_1..lam_i]) from those rows, each ending in its
+    divided difference of e^{-x} hpg01(N; x y), which times x^{n-j} is
+    d/dx H^{n-j}_N(x, y): the sum of the determinants with one row
+    differentiated is minus the bordered one."""
+    border = [x ** (n - j) for j in range(1, len(rows) + 1)] + [0.0]
+    return -_det(rows + [border])
+
+
 def _h_series(k: int, N: int, x: float, s: float) -> Iterator[float]:
     """Coefficients of H^k_N(x, y) = sum_l gamma(k+l+1, x) y^l / ((N)_l l!), times s^l."""
     t = 1.0
@@ -143,9 +152,10 @@ def _h_series(k: int, N: int, x: float, s: float) -> Iterator[float]:
         yield incomplete_gamma(k + l + 1, x) * t
 
 
-def _hpg01_series(nu: int, x: float, s: float) -> Iterator[float]:
-    """Coefficients of e^{-x} hpg01(nu; x y) = e^{-x} sum_l (x y)^l / ((nu)_l l!), times s^l."""
-    t = math.exp(-x)
+def _hpg01_series(nu: int, x: float, s: float, scale: float | None = None) -> Iterator[float]:
+    """Coefficients of c hpg01(nu; x y) = c sum_l (x y)^l / ((nu)_l l!), times s^l,
+    with c = ``scale``, by default e^{-x}."""
+    t = math.exp(-x) if scale is None else scale
     for l in itertools.count():
         if l:
             t *= x * s / ((nu + l - 1) * l)
@@ -176,10 +186,7 @@ def pdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
         return 0.0 if not (n == m == 1) else math.exp(-sum(params.lambdas))
     columns = [functools.partial(_h_series, n - j, N, x) for j in range(1, m + 1)]
     columns.append(functools.partial(_hpg01_series, N, x))
-    # d/dx H^{n-j}_N(x, y) = x^{n-j} e^{-x} hpg01(N; x y), the last column: the sum
-    # of the determinants with one row differentiated is minus the bordered one
-    border = [x ** (n - j) for j in range(1, m + 1)] + [0.0]
-    return -_front_factor(params) * _det(divided_rows(columns, params.lambdas) + [border])
+    return _front_factor(params) * _det_dx(n, x, divided_rows(columns, params.lambdas))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Elements are immutable; all operations return new values.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -186,29 +187,20 @@ class ExpPoly:
         return total
 
     def _eval_precise(self, x0: float, prec: int = 40) -> float:
-        from decimal import Decimal, getcontext
-        from fractions import Fraction as _F
-
         ctx = getcontext()
         old = ctx.prec
         ctx.prec = prec
         try:
-            xf = _F(x0)
-            xd = Decimal(xf.numerator) / Decimal(xf.denominator)
-            # e^{-x} by series (arguments here are desk-scale)
-            term = Decimal(1)
-            E = Decimal(1)
-            k = 0
-            while abs(term) > Decimal(10) ** (-(prec - 2)):
-                k += 1
-                term *= -xd / k
-                E += term
-            total = Decimal(0)
-            for (i, j), c in self.terms.items():
-                total += Decimal(c.numerator) / Decimal(c.denominator) * xd ** i * E ** j
-            return float(total)
+            return float(self.decimal_value(*decimal_exp(Fraction(x0), prec - 2)))
         finally:
             ctx.prec = old
+
+    def decimal_value(self, xd: Decimal, E: Decimal) -> Decimal:
+        """Value in the current Decimal context at x = xd, given E = e^{-x}."""
+        total = Decimal(0)
+        for (i, j), c in self.terms.items():
+            total += Decimal(c.numerator) / Decimal(c.denominator) * xd ** i * E ** j
+        return total
 
     # -- structure --------------------------------------------------------
 
@@ -242,6 +234,20 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
+
+
+def decimal_exp(x: Fraction, digits: int) -> Tuple[Decimal, Decimal]:
+    """x and e^{-x} in the current Decimal context, e^{-x} by its Taylor
+    series summed until a term is at most 10^-digits (arguments here are
+    desk-scale)."""
+    xd = Decimal(x.numerator) / Decimal(x.denominator)
+    term = E = Decimal(1)
+    k = 0
+    while abs(term) > Decimal(10) ** -digits:
+        k += 1
+        term *= -xd / k
+        E += term
+    return xd, E
 
 
 def incomplete_gamma_exact(a: int) -> ExpPoly:

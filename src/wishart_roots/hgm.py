@@ -1,33 +1,29 @@
-"""Holonomic gradient route: one gauged Pfaffian 3-vector per eigenvalue.
+"""Holonomic gradient route: the quadrature route's determinant rows, integrated in x.
 
-Per noncentrality eigenvalue lam the three basis functions are
+Per noncentrality eigenvalue y the functions
 
-    b0 = H^{N-1}_N(x, lam),   b1 = x^N e^{-x} hpg01(N; x lam),
-    b2 = x^N e^{-x} hpg01(N+1; x lam),        N = n - m + 1,
+    F_j = H^{n-j}_N(x, y) (j = 1..m),   u1 = hpg01(N; x y),   u2 = hpg01(N+1; x y),
 
-whose x- and lam-derivatives close over the triple with rational-function
-coefficients (the 3x3 blocks below).  Every determinant entry
-H^{n-j}_N(x, lam_i) is a polynomial combination of the triple at lam_i, so
-the CDF determinant and its x-derivative need the m triples only.
+with N = n - m + 1, obey a system in x that is linear in y:
 
-The integration gauges each triple by S = diag(1, s, s), s = x^N e^{-x}
-(the scaling of Hashiguchi, Numata, Takayama and Takemura, 2013): the state
-(b0, u1, u2) = (b0, hpg01(N; x lam), hpg01(N+1; x lam)) obeys x_block(N)
-conjugated by S,
+    F_j' = x^{n-j} e^{-x} u1,   u1' = (y/N) u2,   u2' = (N/x) (u1 - u2),
 
-    b0' = x^{N-1} e^{-x} u1,   u1' = (lam/N) u2,   u2' = (N/x) (u1 - u2).
+the last two being x_block(N) gauged by diag(1, s, s), s = x^N e^{-x} (the
+scaling of Hashiguchi, Numata, Takayama and Takemura, 2013).  So the divided
+differences over each prefix lam_1..lam_k of the ascending eigenvalues close
+as well, by (y u2)[lam_1..lam_k] = lam_k u2[lam_1..lam_k] + u2[lam_1..lam_{k-1}]:
+the state is the m(m+2) divided differences of (F_1..F_m, u1, u2), all
+positive, so a relative tolerance alone controls it.  Its F part is the
+quadrature route's rows, so the CDF is front * det(rows) and the density the
+same bordered determinant as there, nothing is divided by the Vandermonde,
+and repeated, clustered and zero eigenvalues take one path.  Abscissas up to
+X0 take the state from the series (``divided_rows``), which is cheaper there
+than integrating; the others integrate from the last of them.
 
-No component decays, so a relative tolerance alone controls the state.  The
-m slots are stacked into one 3m-vector and integrated in one call, from the
-series values at x <= X0, where the determinant below cancels for m >= 3 and
-needs the state exact to rounding.  At each abscissa the entries
-E_ij = sum_a c_{j,a}(x, lam_i) b_a(lam_i) give the CDF as front * det(E)
-and the density as -front * det([E | e^{-x} u1; x^{n-1} .. x^{n-m} | 0]),
-the bordered determinant of the quadrature route.
-
-The symbolic coefficients over the 3^m tensor products (``extraction_vector``
-for the CDF determinant, ``extraction_vector_dx`` for an x-derivative) serve
-the printed m = 2 coefficient table.
+The symbolic coefficients over the 3^m tensor products of the per-eigenvalue
+basis b0 = H^{N-1}_N, b1 = x^N e^{-x} u1, b2 = x^N e^{-x} u2
+(``extraction_vector`` for the CDF determinant, ``extraction_vector_dx`` for an
+x-derivative) serve the printed m = 2 coefficient table.
 """
 
 from __future__ import annotations
@@ -42,16 +38,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import EvalConfig, WishartParams, _det, _front_factor
-from .h_integrals import HIndex, b_atom, h_atom, h_eval, reduce_to_basis
+from .distribution import (EvalConfig, WishartParams, _det, _det_dx, _front_factor, _h_series,
+                           _hpg01_series, divided_rows)
+from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
-from .special_fn import hpg01
 
 Idx = Tuple[int, ...]
 
 X0 = 2.0  # abscissas up to X0 take the series start; integrations start at or below it
-MIN_GAP = 1e-5  # smallest eigenvalue gap the route accepts, relative to 1 + max lam
 
 
 def x_block(N: int) -> List[List[RatFunc]]:
@@ -79,8 +74,9 @@ def lam_block(N: int) -> List[List[RatFunc]]:
 
 @dataclass
 class PfaffianSystem:
-    """Gauged x-system for (n, m): one 3-vector (b0, u1, u2) per
-    noncentrality eigenvalue, stacked slot by slot into a 3m-vector."""
+    """x-system for (n, m): the divided differences of (F_1..F_m, u1, u2)
+    over each prefix of the ascending eigenvalues, stacked prefix by prefix
+    into an m(m+2)-vector."""
 
     n: int
     m: int
@@ -91,38 +87,40 @@ class PfaffianSystem:
         self.N = self.n - self.m + 1
 
     def rhs(self, x: float, state: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-        """x_block(N) conjugated by diag(1, s, s), s = x^N e^{-x}, in every slot."""
-        N = self.N
-        u1, u2 = state[1::3], state[2::3]
-        out = np.empty_like(state)
-        out[0::3] = math.exp((N - 1) * math.log(x) - x) * u1
-        out[1::3] = np.multiply(lambdas, u2) / N
-        out[2::3] = (N / x) * (u1 - u2)
-        return out
+        """The state's x-derivative, ``lambdas`` ascending.  In plain floats:
+        a state of m(m+2) numbers is too small to pay for numpy calls."""
+        m, N = self.m, self.N
+        s = state.tolist()
+        weights = [math.exp((N - 1) * math.log(x) - x)]  # x^{n-j} e^{-x}, j = m..1
+        for _ in range(1, m):
+            weights.append(weights[-1] * x)
+        weights.reverse()
+        out = []
+        u2 = 0.0
+        for k, lam in enumerate(lambdas):
+            u1, prev, u2 = s[k * (m + 2) + m], u2, s[k * (m + 2) + m + 1]
+            out += [u1 * w for w in weights]
+            # (y u2)[lam_1..lam_k] = lam_k u2[lam_1..lam_k] + u2[lam_1..lam_{k-1}]
+            out += ((lam * u2 + prev) / N, (N / x) * (u1 - u2))
+        return np.array(out)
 
 
 @dataclass
 class HgmState:
     x: float
-    values: np.ndarray  # (b0, u1, u2) per slot, slot by slot
-
-
-def basis_value(N: int, a: int, x: float, lam: float) -> float:
-    if a == 0:
-        return h_eval(HIndex(N - 1, 0, N), x, lam)
-    nu = N if a == 1 else N + 1
-    return math.exp(N * math.log(x) - x) * hpg01(nu, x * lam) if x > 0 else 0.0
+    values: np.ndarray  # (F_1..F_m, u1, u2) divided differences, prefix by prefix
 
 
 def initial_state(params: WishartParams, x0: float, cfg: EvalConfig | None = None) -> HgmState:
-    """Gauged state at a small abscissa: b0 from the term-wise gamma series,
-    u1 and u2 from hpg01."""
+    """The state at a small abscissa, summed from the power series in y by
+    ``divided_rows``: the quadrature route's rows plus the hpg01 columns."""
     if not (0 < x0 <= X0):
         raise ValueError(f"initial abscissa must satisfy 0 < x0 <= {X0}")
-    N = params.n - params.m + 1
-    vals = [v for lam in params.lambdas
-            for v in (basis_value(N, 0, x0, lam), hpg01(N, x0 * lam), hpg01(N + 1, x0 * lam))]
-    return HgmState(x0, np.array(vals))
+    n, m = params.n, params.m
+    N = n - m + 1
+    columns = [functools.partial(_h_series, n - j, N, x0) for j in range(1, m + 1)]
+    columns += [functools.partial(_hpg01_series, nu, x0, scale=1.0) for nu in (N, N + 1)]
+    return HgmState(x0, np.array(divided_rows(columns, params.lambdas)).ravel())
 
 
 def hgm_integrate(
@@ -137,8 +135,9 @@ def hgm_integrate(
     cfg = cfg or EvalConfig()
     if x_target == start.x:
         return HgmState(start.x, start.values.copy())
+    lam = sorted(float(v) for v in lambdas)  # the prefixes ascend
     sol = solve_ivp(
-        lambda t, y: sys.rhs(t, y, lambdas),
+        lambda t, y: sys.rhs(t, y, lam),
         (start.x, x_target),
         start.values,
         method="RK45",
@@ -261,10 +260,13 @@ def trajectory(
     """March once through the abscissas in increasing order; returns
     (x, basis values, determinant value, distribution value) per abscissa.
 
-    The basis values are the 3^m products of the slots' (b0, b1, b2), C-order
-    over {0,1,2}^m.  ``what`` is "R" for the density psi = front * R with
-    R = d/dx det(E), "F" for the CDF front * det(E), clamped to [0, 1].
-    Abscissas x <= 0 give zeros.
+    The basis values are the 3^m products of the eigenvalues' (b0, b1, b2),
+    eigenvalues descending, C-order over {0,1,2}^m.  With E_ij =
+    H^{n-j}_N(x, lam_i), ``what`` "R" gives R = d/dx det(E) and the density,
+    "F" det(E) and the CDF, clamped to [0, 1].  det(E) is the
+    divided-difference determinant times the signed Vandermonde product, a
+    multiplication that gives zero at repeated eigenvalues.  Abscissas x <= 0
+    give zeros.
     """
     cfg = cfg or EvalConfig()
     n, m = params.n, params.m
@@ -272,9 +274,6 @@ def trajectory(
         raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
     if what not in ("R", "F"):
         raise ValueError("what must be 'R' or 'F'")
-    lam = params.lambdas
-    if any(lam[i] - lam[i + 1] < MIN_GAP * (1.0 + lam[0]) for i in range(m - 1)):
-        raise ValueError("the HGM route requires distinct noncentrality eigenvalues")
     xs = sorted(xs)
     out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
     xs = xs[len(out):]
@@ -282,32 +281,32 @@ def trajectory(
         return out
     sys = PfaffianSystem(n, m)
     N = sys.N
-    coeffs = _entry_reductions(n, m, N)
-    # det(f_j(lam_i)) = prod_{a<b} (lam_b - lam_a) det(f_j[lam_1..lam_i])
-    front = _front_factor(params) / math.prod(b - a for a, b in itertools.combinations(lam, 2))
+    lam = params.lambdas
+    mu = lam[::-1]
+    vandermonde = math.prod(b - a for a, b in itertools.combinations(lam, 2))
+    front = _front_factor(params)
+    # Newton form f(mu_i) = sum_k f[mu_1..mu_k] prod_{t<k} (mu_i - mu_t): for
+    # ascending mu no term is negative (k > i gives 0); rows in the order of lam
+    newton = np.array([[math.prod(mu[i] - mu[t] for t in range(k)) for k in range(m)]
+                       for i in reversed(range(m))])
     state = initial_state(params, min(X0, xs[0]), cfg)
     for x in xs:
         if x > X0:
             state = hgm_integrate(sys, state, x, lam, cfg)
         elif x != state.x:
-            # the series start is cheap and exact to rounding, which the
-            # determinant needs: for m >= 3 it amplifies state errors by ~1e5 at x < 1
             state = initial_state(params, x, cfg)
-        s = math.exp(N * math.log(x) - x)
-        basis = state.values.reshape(m, 3) * (1.0, s, s)
-        rows = [[sum(c.eval((x, y)) * b for c, b in zip(cj, v)) for cj in coeffs]
-                for y, v in zip(lam, basis.tolist())]
+        w = state.values.reshape(m, m + 2)
+        rows = w[:, :m].tolist()
         if what == "F":
-            value = _det(rows)
-            dist = min(max(front * value, 0.0), 1.0)
+            det = _det(rows)
+            dist = min(max(front * det, 0.0), 1.0)
         else:
-            # d/dx H^{n-j}_N(x, lam_i) = x^{n-j} e^{-x} u1_i: the sum of the
-            # determinants with one row differentiated is minus the bordered one
-            border = [x ** (n - j) for j in range(1, m + 1)] + [0.0]
-            g = (math.exp(-x) * state.values[1::3]).tolist()
-            value = -_det([row + [gi] for row, gi in zip(rows, g)] + [border])
-            dist = front * value
-        out.append((x, functools.reduce(np.kron, basis), value, dist))
+            g = (math.exp(-x) * w[:, m]).tolist()
+            det = _det_dx(n, x, [row + [gi] for row, gi in zip(rows, g)])
+            dist = front * det
+        s = math.exp(N * math.log(x) - x)
+        basis = newton @ w[:, m - 1:] * (1.0, s, s)  # H^{n-m}_N is b0 = H^{N-1}_N
+        out.append((x, functools.reduce(np.kron, basis), vandermonde * det, dist))
     return out
 
 

@@ -126,15 +126,6 @@ class MPoly:
             total += v
         return total
 
-    def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
-                v *= Fraction(xi) ** ei
-            total += v
-        return total
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -265,12 +256,6 @@ class RatFunc:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval(point) / d
-
-    def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
-        d = self.den.eval_exact(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval_exact(point) / d
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):

@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exp_poly import ExpPoly
+from .exp_poly import ExpPoly, decimal_exp
 from .h_integrals import HIndex, h_series
 
 Expo = Tuple[int, ...]
@@ -52,9 +53,6 @@ class LambdaSeries:
         else:
             self.valid = tuple(self.valid)
         self.coeffs = {tuple(q): c for q, c in self.coeffs.items() if not c.is_zero()}
-
-    def copy(self) -> "LambdaSeries":
-        return LambdaSeries(self.m, self.order, dict(self.coeffs), self.valid)
 
     def get(self, q: Expo) -> ExpPoly:
         return self.coeffs.get(tuple(q), ExpPoly.zero())
@@ -155,7 +153,7 @@ class LambdaSeries:
             total += v
         return total
 
-    def eval_decimal(self, x0: Fraction, lambdas: Sequence[Fraction], prec: int = 50) -> "Decimal":
+    def eval_decimal(self, x0: Fraction, lambdas: Sequence[Fraction], prec: int = 50) -> Decimal:
         """High-precision evaluation at rational arguments.
 
         The closed forms of the coefficients subtract quantities agreeing to
@@ -163,28 +161,16 @@ class LambdaSeries:
         ``eval`` loses accuracy there; this route computes the polynomial
         parts exactly and e^{-x} by a Decimal series.
         """
-        from decimal import Decimal, getcontext
-
         if len(lambdas) != self.m:
             raise ValueError("lambda count mismatch")
         ctx_prec = getcontext().prec
         getcontext().prec = max(prec + 10, ctx_prec)
         try:
-            x0 = Fraction(x0)
-            xd = Decimal(x0.numerator) / Decimal(x0.denominator)
-            term = Decimal(1)
-            E = Decimal(1)
-            k = 0
-            while abs(term) > Decimal(10) ** (-(prec + 5)):
-                k += 1
-                term *= -xd / k
-                E += term
+            xd, E = decimal_exp(Fraction(x0), prec + 5)
             lam_d = [Decimal(Fraction(l).numerator) / Decimal(Fraction(l).denominator) for l in lambdas]
             total = Decimal(0)
             for q, c in self.coeffs.items():
-                v = Decimal(0)
-                for (i, j), co in c.terms.items():
-                    v += Decimal(co.numerator) / Decimal(co.denominator) * xd ** i * E ** j
+                v = c.decimal_value(xd, E)
                 for l, e in zip(lam_d, q):
                     v *= l ** e
                 total += v

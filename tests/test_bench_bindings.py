@@ -3,8 +3,10 @@ the traced layers of ``bench/spans.py`` and the caches and config keywords
 of ``bench/workloads.py``.  Both files are loaded by path, unchanged, so a
 renamed or removed binding fails here rather than in a benchmark run."""
 
+import csv
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,24 @@ def test_lclm_operation_runs():
     cases = workloads.LCLM_CASES
     assert len(cases) == 4
     assert workloads.Package().run({"lclm": cases}) == [True] * len(cases)
+
+
+def test_curves_hgm_operations_match_quadrature():
+    # every hgm grid of the curves workload, run as the benchmark runs it
+    from wishart_roots.distribution import EvalConfig, WishartParams, pdf_quadrature
+
+    workloads = load("workloads")
+    pkg = workloads.Package()
+    ops = [op for curves in workloads.make_inputs("curves", 1)["sets"]
+           for op in curves["cheap"] + curves["heavy"] if op["route"] == "hgm"]
+    assert len(ops) == 3
+    for op in ops:
+        rc, text = pkg.run(op)
+        assert rc == 0
+        header, *rows = csv.reader(io.StringIO(text))
+        assert [float(r[0]) for r in rows] == op["xs"]
+        col = header.index(op["col"])
+        p = WishartParams(op["n"], op["m"], op["lambdas"])
+        for r in rows:
+            ref = pdf_quadrature(p, float(r[0]), EvalConfig())
+            assert float(r[col]) == pytest.approx(ref, rel=1e-8, abs=0)

@@ -47,6 +47,15 @@ class TestPointCommands:
         vals = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert max(vals) - min(vals) < 1e-8 * max(vals)
 
+    def test_repeated_lambda_all_routes(self, capsys):
+        code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
+                               "--lambda", "1,1", "--x", "3", "--method", "all")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["quadrature", "series", "conjecture", "hgm"]
+        vals = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert max(vals) - min(vals) < 1e-8 * max(vals)
+
     def test_hgm_tail(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
                                "--lambda", "2,1", "--x", "150", "--method", "hgm")
@@ -132,6 +141,20 @@ class TestTable:
         assert len(rows) == 7
         for x, value in rows:
             assert float(value) == pytest.approx(point(p, float(x), EvalConfig()), rel=1e-8)
+
+
+    def test_hgm_m4_near_repeats_matches_quadrature(self, capsys):
+        # two pairs of eigenvalues 1e-4 apart, at small x, where the density is ~1e-37
+        common = ("table", "--n", "6", "--m", "4", "--lambda", "3.0001,2.5,2,1.9999",
+                  "--x-min", "0.15", "--x-max", "0.5", "--points", "2")
+        columns = []
+        for method in ("hgm", "quadrature"):
+            code, out, _ = run_cli(capsys, *common, "--method", method)
+            assert code == 0
+            columns.append([float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]])
+        hgm, quadrature = columns
+        assert len(hgm) == 2 and all(v > 0 for v in quadrature)
+        assert hgm == pytest.approx(quadrature, rel=1e-8, abs=0)
 
 
 class TestHgmDump:

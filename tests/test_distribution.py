@@ -383,6 +383,8 @@ class TestDividedDifferences:
     def test_gap_sweep(self, n, m, lams):
         # no threshold: the routes agree at every gap, and a gap of 1e-12
         # changes nothing against the exact repeat
+        from wishart_roots.hgm import cdf_hgm, pdf_hgm
+
         cfg = EvalConfig(experimental_m4=True)
         routes = (cdf_quadrature, pdf_quadrature, pdf_conjecture)
         for x in (0.15, 0.5, 3.0, 20.0):
@@ -391,6 +393,9 @@ class TestDividedDifferences:
             for p in at.values():
                 expect = pdf_quadrature(p, x, cfg)
                 assert pdf_conjecture(p, x, cfg) == pytest.approx(expect, rel=1e-10)
+                # the Pfaffian route integrates the same rows from the series start
+                assert pdf_hgm(p, x, cfg) == pytest.approx(expect, rel=1e-8, abs=0)
+                assert cdf_hgm(p, x, cfg) == pytest.approx(cdf_quadrature(p, x, cfg), rel=1e-8, abs=0)
             for fn in routes:
                 assert fn(at[1e-12], x, cfg) == pytest.approx(fn(at[0.0], x, cfg), rel=1e-10)
 

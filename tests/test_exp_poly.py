@@ -97,6 +97,16 @@ class TestEval:
         with pytest.raises(ZeroDivisionError):
             ExpPoly.x(-1).eval(0.0)
 
+    def test_precise_fallback(self):
+        # gamma(12, x) = 11! (1 - e^{-x} sum_{k<12} x^k / k!) keeps ~1e-15 of its
+        # terms at x = 0.5, so eval recomputes it with a 40-digit e^{-x}
+        from scipy.special import gamma, gammainc
+
+        p = incomplete_gamma_exact(12)
+        terms = [float(c) * 0.5 ** i * math.exp(-0.5 * j) for (i, j), c in p.terms.items()]
+        assert abs(sum(terms)) < 1e-4 * max(map(abs, terms))
+        assert p.eval(0.5) == pytest.approx(gammainc(12, 0.5) * gamma(12), rel=1e-13)
+
     @settings(max_examples=30, deadline=None)
     @given(exp_polys(), st.floats(0.5, 8.0))
     def test_diff_matches_central_differences(self, p, x0):

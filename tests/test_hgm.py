@@ -7,8 +7,8 @@ import pytest
 from wishart_roots.distribution import EvalConfig, WishartParams, pdf_quadrature, cdf_quadrature
 from wishart_roots.h_integrals import HIndex, h_eval
 from wishart_roots.hgm import (
+    X0,
     PfaffianSystem,
-    basis_value,
     cdf_hgm,
     extraction_vector,
     extraction_vector_dx,
@@ -25,6 +25,15 @@ from wishart_roots.ratfunc import RatFunc
 from wishart_roots.special_fn import hpg01
 
 CFG = EvalConfig()
+
+
+def basis_value(N, a, x, lam):
+    """The per-eigenvalue basis: b0 = H^{N-1}_N(x, lam) and b1, b2 =
+    x^N e^{-x} hpg01(N; x lam), x^N e^{-x} hpg01(N+1; x lam)."""
+    if a == 0:
+        return h_eval(HIndex(N - 1, 0, N), x, lam)
+    nu = N if a == 1 else N + 1
+    return math.exp(N * math.log(x) - x) * hpg01(nu, x * lam) if x > 0 else 0.0
 
 
 def eval_mat(mat, x, lam):
@@ -100,20 +109,43 @@ class TestSystem:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_lowered_rhs_matches_symbolic(self, m, N):
+        # prefix k against x_block(N) conjugated by diag(1, s, s) on
+        # (F_m, u1, u2), with the Leibniz rule of a block linear in lam:
+        # (G w)[lam_1..lam_k] = G(lam_k) w[lam_1..lam_k] + G' w[lam_1..lam_{k-1}];
+        # F_j' is x^{m-j} times F_m'
         sys = PfaffianSystem(N + m - 1, m)
         rng = np.random.default_rng(1000 * m + N)
-        for lambdas in [(0.0,) * m, (3.0, 1.5, 0.0)[:m], (7.25, 2.0, 0.5)[:m]]:
+        for lambdas in [(0.0,) * m, (0.0, 1.5, 3.0)[:m], (0.5, 2.0, 7.25)[:m], (2.0,) * m]:
             for x in (0.1, 1.7, 40.0, 150.0):
-                state = rng.standard_normal(3 * m)
+                state = rng.standard_normal(m * (m + 2))
                 got = sys.rhs(x, state, lambdas)
-                assert got.shape == (3 * m,)
-                for slot, lam in enumerate(lambdas):
-                    w = state[3 * slot:3 * slot + 3]
+                assert got.shape == (m * (m + 2),)
+                got, w = got.reshape(m, m + 2), state.reshape(m, m + 2)
+                dG = gauged_block(N, x, 1.0)[0] - gauged_block(N, x, 0.0)[0]
+                prev = np.zeros(3)
+                for k, lam in enumerate(lambdas):
+                    wk = w[k, m - 1:]
                     G, mag = gauged_block(N, x, lam)
-                    # float64 rounding of a few products and sums per entry,
-                    # componentwise (the b0 row is ~x^N e^{-x} at large x)
-                    err = np.abs(got[3 * slot:3 * slot + 3] - G @ w)
-                    assert np.all(err <= 1e-13 * (mag @ np.abs(w)))
+                    expect = G @ wk + dG @ prev
+                    # float64 rounding of a few products and sums per entry
+                    err = np.abs(got[k, m:] - expect[1:])
+                    assert np.all(err <= 1e-13 * (mag @ np.abs(wk) + np.abs(dG) @ np.abs(prev))[1:])
+                    assert got[k, :m] == pytest.approx(
+                        [x ** (m - j) * expect[0] for j in range(1, m + 1)], rel=1e-13, abs=0)
+                    prev = wk
+
+    @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 1.0)), (5, 3, (3.0, 2.0, 2.0)),
+                                          (8, 4, (4.69, 4.39, 4.09, 0.59))])
+    def test_rhs_matches_series_start_differences(self, n, m, lams):
+        # below X0 the state is summed from the series at each abscissa, so
+        # its central differences must match the right-hand side
+        p = WishartParams(n, m, lams)
+        sys = PfaffianSystem(n, m)
+        for x in (0.3, 1.0, X0 - 0.3):
+            h = 1e-5 * x
+            fd = (initial_state(p, x + h, CFG).values - initial_state(p, x - h, CFG).values) / (2 * h)
+            got = sys.rhs(x, initial_state(p, x, CFG).values, sorted(lams))
+            assert got == pytest.approx(fd, rel=1e-7, abs=0)
 
     def test_initial_state_matches_quadrature(self):
         p = WishartParams(4, 1, (1.0,))
@@ -129,12 +161,19 @@ class TestSystem:
         assert st.values[0] == pytest.approx(ref, rel=1e-9)
 
     def test_initial_state_stacks_slots(self):
+        # prefix k holds the divided differences over the k smallest
+        # eigenvalues of (H^{n-1}_N .. H^{n-m}_N, hpg01(N; x y), hpg01(N+1; x y))
         p = WishartParams(5, 3, (3.0, 2.0, 1.0))
         st = initial_state(p, 0.5, CFG)
-        assert st.values.shape == (9,)
-        for slot, lam in enumerate(p.lambdas):
-            assert st.values[3 * slot:3 * slot + 3] == pytest.approx(
-                [basis_value(3, 0, 0.5, lam), hpg01(3, 0.5 * lam), hpg01(4, 0.5 * lam)], rel=1e-12)
+        assert st.values.shape == (15,)
+
+        def f(lam):
+            return np.array([h_eval(HIndex(5 - j, 0, 3), 0.5, lam) for j in (1, 2, 3)]
+                            + [hpg01(3, 0.5 * lam), hpg01(4, 0.5 * lam)])
+
+        f1, f2, f3 = f(1.0), f(2.0), f(3.0)
+        expect = [f1, f2 - f1, ((f3 - f2) - (f2 - f1)) / 2]
+        assert st.values.reshape(3, 5) == pytest.approx(np.array(expect), rel=1e-9, abs=0)
 
     def test_initial_state_at_zero_noncentrality(self):
         from wishart_roots.special_fn import incomplete_gamma
@@ -249,9 +288,22 @@ class TestDistributionValues:
         for x, values, R, psi in rows:
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-6)
 
-    def test_confluent_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            pdf_hgm(WishartParams(4, 2, (1.0, 1.0)), 2.0, CFG)
+    def test_repeated_lambda_matches_quadrature(self):
+        for n, m, lams in [(4, 2, (1.0, 1.0)), (5, 3, (2.0, 2.0, 2.0))]:
+            p = WishartParams(n, m, lams)
+            for x in (0.5, 3.0, 20.0):
+                assert pdf_hgm(p, x, CFG) == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+                assert cdf_hgm(p, x, CFG) == pytest.approx(cdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
+            # det(E) over the plain rows is the Vandermonde times the divided one
+            assert [row[2] for row in trajectory(p, [0.5, 3.0], CFG)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("what", ["R", "F"])
+    def test_m4_small_x_matches_quadrature(self, what):
+        # three close eigenvalues at m = 4: plain rows divided by the Vandermonde cancel here
+        p = WishartParams(8, 4, (4.69, 4.39, 4.09, 0.59))
+        ref = pdf_quadrature if what == "R" else cdf_quadrature
+        for x, _, _, dist in trajectory(p, [0.3, 1.0, 3.0], CFG, what=what):
+            assert dist == pytest.approx(ref(p, x, CFG), rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 0.0)), (5, 3, (3.0, 1.5, 0.0)),
                                           (3, 1, (0.0,))])
@@ -275,8 +327,7 @@ class TestDistributionValues:
 
     @pytest.mark.parametrize("lams", [(3.0, 2.0, 1.0), (1.2, 0.7, 0.2)])
     def test_small_x_matches_quadrature(self, lams):
-        # for m = 3 the determinant amplifies state errors by ~1e5 at x < 1,
-        # so abscissas there must come from the series start
+        # abscissas up to X0 come from the series start, the rest integrate
         p = WishartParams(5, 3, lams)
         for x, _, _, psi in trajectory(p, list(np.linspace(0.5, 3.0, 11)), CFG):
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
