@@ -106,16 +106,7 @@ class ExpPoly:
             return self.scale(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        out: Dict[Term, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ExpPoly.wrap(out)
+        return ExpPoly.wrap(terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -145,62 +136,15 @@ class ExpPoly:
 
     def diff(self) -> "ExpPoly":
         """Exact d/dx.  d(x^i E^j)/dx = i x^{i-1} E^j - j x^i E^j."""
-        out: Dict[Term, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if i != 0:
-                key = (i - 1, j)
-                s = out.get(key, 0) + i * c
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            if j != 0:
-                key = (i, j)
-                s = out.get(key, 0) - j * c
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ExpPoly.wrap(out)
+        return ExpPoly.wrap(terms_diff(self.terms))
 
     def eval(self, x0: float) -> float:
-        """Numeric value at x = x0.
-
-        Requires x0 > 0 whenever a negative x-power is present (the ring
-        element has a pole at 0 otherwise).  Closed forms like the
-        incomplete gammas cancel violently when x is small relative to the
-        degree, so when the float sum loses more than ~4 digits to
-        cancellation the value is recomputed with exact rational
-        coefficients and a 40-digit e^{-x}.
-        """
-        if x0 == 0 and any(i < 0 for (i, _) in self.terms):
-            raise ZeroDivisionError("negative x-power evaluated at x = 0")
-        x0 = float(x0)
-        total = 0.0
-        biggest = 0.0
-        for (i, j), c in self.terms.items():
-            term = float(c) * x0 ** i * math.exp(-j * x0)
-            total += term
-            biggest = max(biggest, abs(term))
-        if biggest > 0.0 and abs(total) < 1e-4 * biggest:
-            return self._eval_precise(x0)
-        return total
-
-    def _eval_precise(self, x0: float, prec: int = 40) -> float:
-        ctx = getcontext()
-        old = ctx.prec
-        ctx.prec = prec
-        try:
-            return float(self.decimal_value(*decimal_exp(Fraction(x0), prec - 2)))
-        finally:
-            ctx.prec = old
+        """Numeric value at x = x0 (see ``eval_terms``)."""
+        return eval_terms(self.terms, x0)
 
     def decimal_value(self, xd: Decimal, E: Decimal) -> Decimal:
         """Value in the current Decimal context at x = xd, given E = e^{-x}."""
-        total = Decimal(0)
-        for (i, j), c in self.terms.items():
-            total += Decimal(c.numerator) / Decimal(c.denominator) * xd ** i * E ** j
-        return total
+        return decimal_terms(self.terms, xd, E)
 
     # -- structure --------------------------------------------------------
 
@@ -236,6 +180,91 @@ class ExpPoly:
         return f"ExpPoly({self})"
 
 
+# ---------------------------------------------------------------------------
+# term maps {(x-power, E-power): coefficient}
+#
+# The functions below are the ring operations on bare term maps.  They work
+# on Fraction coefficients (an ExpPoly) and on Python-int numerators alike:
+# the exact series layer holds every coefficient of a series as an int term
+# map over one shared denominator (the series' integer image), so its
+# products and derivatives are int arithmetic with no gcd per operation.
+# Zero coefficients are dropped as they arise, so a map is zero iff empty.
+# ---------------------------------------------------------------------------
+
+def terms_mul(a: Dict[Term, object], b: Dict[Term, object]) -> Dict[Term, object]:
+    """The product of two term maps."""
+    out: Dict[Term, object] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            s = out.get(key, 0) + c1 * c2
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def terms_diff(a: Dict[Term, object]) -> Dict[Term, object]:
+    """d/dx of a term map: x^i E^j -> i x^{i-1} E^j - j x^i E^j."""
+    out: Dict[Term, object] = {}
+    for (i, j), c in a.items():
+        if i != 0:
+            key = (i - 1, j)
+            s = out.get(key, 0) + i * c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        if j != 0:
+            key = (i, j)
+            s = out.get(key, 0) - j * c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def eval_terms(terms: Dict[Term, object], x0: float, den: int = 1) -> float:
+    """Numeric value at x = x0 of the term map divided by ``den``.
+
+    Requires x0 > 0 whenever a negative x-power is present (the ring
+    element has a pole at 0 otherwise).  Closed forms like the incomplete
+    gammas cancel violently when x is small relative to the degree, so when
+    the float sum loses more than ~4 digits to cancellation the value is
+    recomputed with exact rational coefficients and a 40-digit e^{-x}.
+    Each coefficient enters as the correctly rounded float of c / den.
+    """
+    if x0 == 0 and any(i < 0 for (i, _) in terms):
+        raise ZeroDivisionError("negative x-power evaluated at x = 0")
+    x0 = float(x0)
+    total = 0.0
+    biggest = 0.0
+    for (i, j), c in terms.items():
+        term = (c / den if den != 1 else float(c)) * x0 ** i * math.exp(-j * x0)
+        total += term
+        biggest = max(biggest, abs(term))
+    if biggest > 0.0 and abs(total) < 1e-4 * biggest:
+        ctx = getcontext()
+        old = ctx.prec
+        ctx.prec = 40
+        try:
+            return float(decimal_terms(terms, *decimal_exp(Fraction(x0), 38), den))
+        finally:
+            ctx.prec = old
+    return total
+
+
+def decimal_terms(terms: Dict[Term, object], xd: Decimal, E: Decimal, den: int = 1) -> Decimal:
+    """Value of the term map divided by ``den`` in the current Decimal
+    context at x = xd, given E = e^{-x}."""
+    total = Decimal(0)
+    for (i, j), c in terms.items():
+        total += Decimal(c.numerator) / Decimal(c.denominator * den) * xd ** i * E ** j
+    return total
+
+
 def decimal_exp(x: Fraction, digits: int) -> Tuple[Decimal, Decimal]:
     """x and e^{-x} in the current Decimal context, e^{-x} by its Taylor
     series summed until a term is at most 10^-digits (arguments here are
@@ -250,15 +279,21 @@ def decimal_exp(x: Fraction, digits: int) -> Tuple[Decimal, Decimal]:
     return xd, E
 
 
-def incomplete_gamma_exact(a: int) -> ExpPoly:
-    """gamma(a, x) as an exact ring element, for integer a >= 1.
+def gamma_terms(a: int) -> Dict[Term, int]:
+    """gamma(a, x) for integer a >= 1 as a term map with int coefficients.
 
     Seeded at gamma(1, x) = 1 - E and built with the one-step recurrence
     gamma(a+1, x) = a*gamma(a, x) - x^a E.
     """
     if not isinstance(a, int) or a < 1:
         raise ValueError("incomplete_gamma_exact requires an integer a >= 1")
-    g = ExpPoly({(0, 0): _FRAC_ONE, (0, 1): Fraction(-1)})  # 1 - E
+    g = {(0, 0): 1, (0, 1): -1}  # 1 - E
     for k in range(1, a):
-        g = g.scale(k) - ExpPoly.term(1, k, 1)
+        g = {t: k * v for t, v in g.items()}
+        g[(k, 1)] = -1
     return g
+
+
+def incomplete_gamma_exact(a: int) -> ExpPoly:
+    """gamma(a, x) as an exact ring element, for integer a >= 1."""
+    return ExpPoly(gamma_terms(a))

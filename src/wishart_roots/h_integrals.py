@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from scipy.integrate import quad
 
-from .exp_poly import ExpPoly, incomplete_gamma_exact
+from .exp_poly import ExpPoly, Term, gamma_terms
 from .ratfunc import RatFunc
 from .special_fn import ConvergenceError, hpg01, incomplete_gamma
 
@@ -240,20 +240,28 @@ def _h_quad_value(idx: HIndex, x: float, y: float) -> float:
     return total
 
 
+def h_series_numerators(idx: HIndex, order: int) -> Tuple[List[Dict[Term, int]], List[int]]:
+    """``h_series`` as int numerators over per-coefficient denominators:
+    coefficient j is the int term map of gamma(k+j+1, x) over (n)_j j!."""
+    if idx.ell != 0:
+        raise ValueError("h_series is defined for l = 0 only")
+    nums, dens = [], []
+    denom = 1  # (n)_j j!
+    for j in range(order + 1):
+        if j > 0:
+            denom *= (idx.n + j - 1) * j
+        nums.append(gamma_terms(idx.k + j + 1))
+        dens.append(denom)
+    return nums, dens
+
+
 def h_series(idx: HIndex, order: int) -> List[ExpPoly]:
     """Exact y-series coefficients of H^k_n(x, y), orders 0..order.
 
     Coefficient j is gamma(k+j+1, x) / ((n)_j j!) as an ExpPoly.
     """
-    if idx.ell != 0:
-        raise ValueError("h_series is defined for l = 0 only")
-    out = []
-    denom = Fraction(1)  # (n)_j j!
-    for j in range(order + 1):
-        if j > 0:
-            denom *= (idx.n + j - 1) * j
-        out.append(incomplete_gamma_exact(idx.k + j + 1).scale(Fraction(1) / denom))
-    return out
+    nums, dens = h_series_numerators(idx, order)
+    return [ExpPoly({t: Fraction(v, d) for t, v in p.items()}) for p, d in zip(nums, dens)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,10 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exp_poly import ExpPoly, Term
 from .ratfunc import MPoly, RatFunc
-from .series_engine import Expo, LambdaSeries, build_R_series
+from .series_engine import Image, LambdaSeries, build_R_series
 
 Deriv = Tuple[int, ...]  # (order in x, orders in lam_1..lam_m)
-Image = Dict[Expo, Dict[Term, int]]  # series numerators over one common denominator
 
 
 class OrderDeficitError(ValueError):
@@ -137,13 +135,11 @@ class DiffOperator:
         output's per-variable certified box shrinks by the lam-derivative
         order of each term, and terms beyond ``series.order`` are dropped.
 
-        The work is done on an integer image: the series' coefficients
-        become Python-int numerators over the lcm of their denominators,
-        and the operator's coefficients likewise.  Each derivative
-        multi-index is taken once, one step from its nearest computed
-        parent; each coefficient monomial x^a lam^e is an exponent shift
-        and an int multiply into one output dict, which is converted back
-        to Fractions once at the end.
+        The work is done on the series' integer image: the operator's
+        coefficients are scaled to ints over their lcm denominator, each
+        derivative multi-index is taken once, one step from its nearest
+        computed parent, and each coefficient monomial x^a lam^e is an
+        exponent shift and an int multiply into the output image.
         """
         if series.m != self.m:
             raise ValueError("variable-count mismatch")
@@ -153,85 +149,64 @@ class DiffOperator:
             if not c.is_poly():
                 raise ValueError("rational coefficients: clear denominators before apply()")
             if any(v < k for v, k in zip(series.valid, d[1:])):
-                raise OrderDeficitError("series order too small for operator")
+                raise OrderDeficitError(self._deficit(series.valid))
             poly = c.as_poly().terms
             if any(p < 0 for e in poly for p in e[1:]):
                 raise ValueError("negative lam exponent in operator coefficient")
             if poly:
                 polys.append((d, poly))
         den_op = math.lcm(*(v.denominator for _, poly in polys for v in poly.values()))
-        den_s = math.lcm(*(v.denominator for p in series.coeffs.values() for v in p.terms.values()))
-        derivs = _image_derivatives(
-            {q: {t: v.numerator * (den_s // v.denominator) for t, v in p.terms.items()}
-             for q, p in series.coeffs.items()},
-            sorted({d for d, _ in polys}, key=sum), self.nvars,
-        )
+        derivs = _derivatives(series, sorted({d for d, _ in polys}, key=sum))
         order = series.order
         acc: Image = {}
         for d, poly in polys:
             mons = [(e[0], e[1:], v.numerator * (den_op // v.denominator)) for e, v in poly.items()]
-            for q, p in derivs[d].items():
+            for q, p in derivs[d].num.items():
+                shifted = {0: p}  # p times x^a, per x-power a of the monomials
                 for a, e, c in mons:
                     nq = tuple(map(operator.add, q, e))
                     if max(nq) > order:
                         continue
+                    pa = shifted.get(a)
+                    if pa is None:
+                        pa = shifted[a] = {(i + a, j): v for (i, j), v in p.items()}
                     out = acc.get(nq)
                     if out is None:
-                        out = acc[nq] = {}
-                    for (i, j), v in p.items():
-                        key = (i + a, j)
-                        out[key] = out.get(key, 0) + c * v
-        den = den_s * den_op
-        coeffs = {}
+                        acc[nq] = {t: c * v for t, v in pa.items()}
+                    else:
+                        for t, v in pa.items():
+                            out[t] = out.get(t, 0) + c * v
+        num = {}
         for q, out in acc.items():
-            terms = {t: Fraction(v, den) for t, v in out.items() if v}
+            terms = {t: v for t, v in out.items() if v}
             if terms:
-                coeffs[q] = ExpPoly.wrap(terms)
+                num[q] = terms
         valid = tuple(min([v] + [v - d[1 + i] for d, _ in polys])
                       for i, v in enumerate(series.valid))
-        return LambdaSeries(series.m, order, coeffs, valid)
+        return LambdaSeries.image(series.m, order, num, series.den * den_op, valid)
+
+    def _deficit(self, valid: Sequence[int]) -> str:
+        need = [max(d[1 + i] for d in self.terms) for i in range(self.m)]
+        short = max(k - v for k, v in zip(need, valid))
+        return (f"series order too small for operator: it takes lam-derivatives of orders "
+                f"{tuple(need)} and the series is certified on the box {tuple(valid)}; "
+                f"raise the series order by at least {short}")
 
 
-def _image_dx(image: Image) -> Image:
-    """d/dx of an integer series image: x^i E^j -> i x^{i-1} E^j - j x^i E^j."""
-    out = {}
-    for q, p in image.items():
-        r: Dict[Term, int] = {}
-        for (i, j), v in p.items():
-            if i:
-                r[(i - 1, j)] = r.get((i - 1, j), 0) + i * v
-            if j:
-                r[(i, j)] = r.get((i, j), 0) - j * v
-        r = {t: v for t, v in r.items() if v}
-        if r:
-            out[q] = r
-    return out
-
-
-def _image_dlam(image: Image, k: int) -> Image:
-    """d/dlam_k of an integer series image."""
-    out = {}
-    for q, p in image.items():
-        e = q[k]
-        if e:
-            out[q[:k] + (e - 1,) + q[k + 1:]] = {t: e * v for t, v in p.items()}
-    return out
-
-
-def _image_derivatives(image: Image, wanted: Sequence[Deriv], nvars: int) -> Dict[Deriv, Image]:
-    """The derivatives of an integer series image at every index in ``wanted``,
-    each one taken from its nearest computed parent (``wanted`` is sorted by
-    total order, so the parents come first)."""
-    done = {(0,) * nvars: image}
+def _derivatives(series: LambdaSeries, wanted: Sequence[Deriv]) -> Dict[Deriv, LambdaSeries]:
+    """The derivatives of ``series`` at every index in ``wanted``, each one
+    taken from its nearest computed parent (``wanted`` is sorted by total
+    order, so the parents come first)."""
+    done = {(0,) * (series.m + 1): series}
     for d in wanted:
         if d in done:
             continue
         p = max((k for k in done if all(a <= b for a, b in zip(k, d))), key=sum)
         cur = done[p]
         step = list(p)
-        for var in range(nvars):
+        for var in range(len(d)):
             while step[var] < d[var]:
-                cur = _image_dx(cur) if var == 0 else _image_dlam(cur, var - 1)
+                cur = cur.diff_x() if var == 0 else cur.diff_lambda(var - 1)
                 step[var] += 1
                 done[tuple(step)] = cur
     return done
@@ -349,11 +324,7 @@ def gauge_translate(op: DiffOperator) -> DiffOperator:
 # ---------------------------------------------------------------------------
 
 def residual_report(name: str, params: dict, residual: LambdaSeries) -> dict:
-    bad = [
-        q
-        for q, c in residual.coeffs.items()
-        if all(e <= v for e, v in zip(q, residual.valid)) and not c.is_zero()
-    ]
+    bad = residual.nonzero_on_valid_box()
     return {
         "check": name,
         "params": params,

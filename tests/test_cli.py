@@ -232,6 +232,18 @@ class TestVerify:
         checks = [r["check"] for r in json.loads(out)]
         assert "recurrences" in checks and not any(c.startswith("printed") for c in checks)
 
+    def test_order_too_small_names_the_deficit(self, capsys):
+        # the printed order-5 operator needs five lam_1-derivatives, so order
+        # 4 is one short at m = 2 and order 5 is the smallest that passes
+        code, out, err = run_cli(capsys, "verify", "all", "--n", "4", "--m", "2", "--order", "4")
+        assert code == 1 and out == ""
+        assert "lam-derivatives of orders (5, 0)" in err
+        assert "certified on the box (4, 4)" in err
+        assert "raise the series order by at least 1" in err
+        code, out, _ = run_cli(capsys, "verify", "all", "--n", "4", "--m", "2", "--order", "5")
+        assert code == 0
+        assert all(r["pass"] for r in json.loads(out))
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         from wishart_roots import operators as ops
 

@@ -28,6 +28,7 @@ from wishart_roots.operators import (
     printed_m3_sum,
     printed_order5_operator,
     q_operator_ore,
+    residual_report,
     theorem2_operator,
     verify_printed,
     verify_theorem1,
@@ -305,6 +306,26 @@ class TestTheorems:
         bad = theorem2_operator(3, 2) + DiffOperator.identity(2)
         res = bad.apply(R)
         assert not res.is_zero_on_valid_box()
+
+    @pytest.mark.parametrize("n,m,order", [(4, 2, 8), (5, 3, 4)])
+    def test_perturbed_chain_link_is_detected(self, n, m, order):
+        # a Theorem-1 product with one T link perturbed by the identity must
+        # leave nonzero residual terms on the certified box; the true chain
+        # leaves none
+        R = build_R_series(n, m, order)
+        for k in range(1, m + 1):
+            for bad_var in (None,) + tuple(range(m)):
+                cur = R
+                for var in range(m):
+                    link = build_T(k, n, m, var)
+                    if var == bad_var:
+                        link = link + DiffOperator.identity(m)
+                    cur = link.apply(cur)
+                rep = residual_report("theorem1_product", {}, cur)
+                if bad_var is None:
+                    assert rep["max_residual_terms"] == 0 and rep["pass"]
+                else:
+                    assert rep["max_residual_terms"] > 0 and not rep["pass"]
 
 
 class TestPrinted:

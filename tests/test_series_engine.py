@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wishart_roots.exp_poly import ExpPoly, incomplete_gamma_exact
-from wishart_roots.h_integrals import HIndex, h_eval
+from wishart_roots.h_integrals import HIndex, h_eval, h_series
 from wishart_roots.series_engine import (
     LambdaSeries,
     SeriesDivisionError,
+    _perm_sign,
     _poly_divide_linear,
     build_cdf_series,
     build_psi_series,
     build_R_series,
     cdf_det_expansion,
     det_series,
+    laplace_minors,
     lemma7_check,
     schur_poly,
 )
@@ -218,7 +222,90 @@ class TestLemma7:
         assert lemma7_check(mat, cs)
 
 
+def test_builds_leave_no_cyclic_garbage():
+    # the memoised minors must be freed when the build returns, not left to
+    # the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        build_R_series(4, 2, 8)
+        build_psi_series(5, 3, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_dump_format():
     s = LambdaSeries(2, 3, {(0, 1): ExpPoly.term(Fraction(3, 2), -1, 2),
                             (1, 0): ExpPoly.one()})
     assert s.dump() == "0 1 : 3/2*x^-1*E^2\n1 0 : 1"
+
+
+# ---------------------------------------------------------------------------
+# the series builds in Fraction arithmetic, as the package had them before
+# the integer image: ExpPoly minors, signed ExpPoly scaling, and ExpPoly
+# accumulation per Schur term
+# ---------------------------------------------------------------------------
+
+def reference_expansion(n, m, order):
+    """[(q, ExpPoly)] of the x-derivative of the CDF determinant."""
+    N = n - m + 1
+    minor = laplace_minors([h_series(HIndex(n - j, 0, N), order) for j in range(1, m + 1)])
+    items = [(q, minor(q).diff()) for q in itertools.combinations(range(order + 1), m)]
+    return [(q, c) for q, c in items if not c.is_zero()]
+
+
+def _store(out, q, val):
+    s = out.get(q)
+    s = val if s is None else s + val
+    if s.is_zero():
+        out.pop(q, None)
+    else:
+        out[q] = s
+
+
+def reference_R(n, m, order):
+    out = {}
+    for q, c in reference_expansion(n, m, order):
+        for perm in itertools.permutations(range(m)):
+            _store(out, tuple(q[perm[i]] for i in range(m)), c.scale(_perm_sign(perm)))
+    return LambdaSeries(m, order, out)
+
+
+def reference_psi(n, m, order):
+    fact = Fraction((-1) ** (m * (m - 1) // 2), math.factorial(n - m) ** m)
+    out = {}
+    for q, c in reference_expansion(n, m, order + m):
+        cc = c.scale(fact)
+        for e, s in schur_poly(q, m).items():
+            if all(p <= order for p in e):
+                _store(out, e, cc.scale(s))
+    return LambdaSeries(m, order, out)
+
+
+def assert_same_series(got, ref):
+    assert got.coeffs == ref.coeffs
+    assert got.valid == ref.valid
+    assert got.order == ref.order
+
+
+class TestIntegerImageMatchesReference:
+    @pytest.mark.parametrize("n,m,order", [(3, 1, 6), (4, 2, 8), (5, 3, 4), (6, 4, 3)])
+    def test_R_series(self, n, m, order):
+        R = build_R_series(n, m, order)
+        assert R.num
+        assert_same_series(R, reference_R(n, m, order))
+
+    @pytest.mark.parametrize("n,m,order", [(4, 2, 8), (5, 3, 5)])
+    def test_psi_series(self, n, m, order):
+        assert_same_series(build_psi_series(n, m, order), reference_psi(n, m, order))
+
+    def test_eval_matches_fraction_coefficients(self):
+        # the float and Decimal values read the image exactly as the
+        # Fraction coefficients would be read, term by term
+        s = build_psi_series(4, 2, 8)
+        ref = reference_psi(4, 2, 8)
+        for x in (0.05, 0.5, 3.0):
+            want = sum(c.eval(x) * 1.5 ** q[0] * 0.25 ** q[1] for q, c in s.coeffs.items())
+            assert s.eval(x, [1.5, 0.25]) == want
+            assert ref.eval(x, [1.5, 0.25]) == want
