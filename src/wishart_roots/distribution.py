@@ -502,31 +502,29 @@ def pdf_m2_closed(params: WishartParams, x: float) -> float:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def cdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    cfg = cfg or EvalConfig()
-    if cfg.method == "quadrature":
-        return cdf_quadrature(params, x, cfg)
-    if cfg.method == "series":
-        return cdf_series(params, x, cfg)
+def _route_value(kind: str, params: WishartParams, x: float, cfg: EvalConfig) -> float:
+    """The value of the route ``cfg.method`` for a "cdf" or "pdf"; a value
+    that is not a finite number raises ``NumericFailure``."""
+    routes = {"quadrature": (cdf_quadrature, pdf_quadrature), "series": (cdf_series, pdf_series),
+              "conjecture": (None, pdf_conjecture)}
     if cfg.method == "hgm":
-        from . import hgm
+        from . import hgm  # hgm needs scipy; it also imports this module
 
-        return hgm.cdf_hgm(params, x, cfg)
-    if cfg.method == "conjecture":
+        routes["hgm"] = (hgm.cdf_hgm, hgm.pdf_hgm)
+    if cfg.method not in routes:
+        raise ValueError(f"unknown method {cfg.method!r}")
+    fn = routes[cfg.method][kind == "pdf"]
+    if fn is None:
         raise ValueError("the conjectured closed form gives the density, not the CDF")
-    raise ValueError(f"unknown method {cfg.method!r}")
+    value = fn(params, x, cfg)
+    if not math.isfinite(value):
+        raise NumericFailure(f"the {cfg.method} route returned {value}")
+    return value
+
+
+def cdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
+    return _route_value("cdf", params, x, cfg or EvalConfig())
 
 
 def pdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    cfg = cfg or EvalConfig()
-    if cfg.method == "quadrature":
-        return pdf_quadrature(params, x, cfg)
-    if cfg.method == "series":
-        return pdf_series(params, x, cfg)
-    if cfg.method == "conjecture":
-        return pdf_conjecture(params, x, cfg)
-    if cfg.method == "hgm":
-        from . import hgm
-
-        return hgm.pdf_hgm(params, x, cfg)
-    raise ValueError(f"unknown method {cfg.method!r}")
+    return _route_value("pdf", params, x, cfg or EvalConfig())

@@ -51,7 +51,8 @@ class ExpPoly:
     @staticmethod
     def wrap(terms: Dict[Term, Fraction]) -> "ExpPoly":
         """An element on ``terms`` as given, unchecked and uncopied: the map
-        must hold only nonzero Fractions at integer (x, E) powers, E >= 0."""
+        must hold only nonzero int or Fraction coefficients at integer
+        (x, E) powers, E >= 0."""
         res = ExpPoly.__new__(ExpPoly)
         res.terms = terms
         return res
@@ -141,10 +142,6 @@ class ExpPoly:
     def eval(self, x0: float) -> float:
         """Numeric value at x = x0 (see ``eval_terms``)."""
         return eval_terms(self.terms, x0)
-
-    def decimal_value(self, xd: Decimal, E: Decimal) -> Decimal:
-        """Value in the current Decimal context at x = xd, given E = e^{-x}."""
-        return decimal_terms(self.terms, xd, E)
 
     # -- structure --------------------------------------------------------
 

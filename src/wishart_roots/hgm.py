@@ -38,8 +38,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import (EvalConfig, WishartParams, _det, _det_dx, _front_factor, _h_series,
-                           _hpg01_series, divided_rows)
+from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _front_factor,
+                           _h_series, _hpg01_series, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
@@ -146,7 +146,7 @@ def hgm_integrate(
         dense_output=False,
     )
     if not sol.success:
-        raise ArithmeticError(f"HGM integration failed: {sol.message}")
+        raise NumericFailure(f"HGM integration failed: {sol.message}")
     return HgmState(x_target, sol.y[:, -1])
 
 

@@ -2,7 +2,8 @@
 
 Internal plumbing for the recurrence/reduction layer and the Pfaffian
 coefficient tables.  An ``MPoly`` is a dict from integer exponent tuples
-(negative exponents allowed) to ``Fraction``; a ``RatFunc`` is a
+(negative exponents allowed) to int or ``Fraction`` (ints stay ints, so
+products of int polynomials are int arithmetic); a ``RatFunc`` is a
 numerator/denominator pair normalized by rational content and monomial
 shift.  Equality of rational functions is decided by cross-multiplication,
 so no multivariate gcd is needed; the reduction chains here are short
@@ -27,14 +28,14 @@ class MPoly:
         clean: Dict[Expo, Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = c if type(c) is int else Fraction(c)
                 if c != 0:
                     clean[tuple(e)] = c
         self.terms = clean
 
     @staticmethod
     def const(nvars: int, c) -> "MPoly":
-        c = Fraction(c)
+        c = c if type(c) is int else Fraction(c)
         if c == 0:
             return MPoly(nvars)
         return MPoly(nvars, {(0,) * nvars: c})
@@ -43,7 +44,7 @@ class MPoly:
     def var(nvars: int, i: int, power: int = 1) -> "MPoly":
         e = [0] * nvars
         e[i] = power
-        return MPoly(nvars, {tuple(e): Fraction(1)})
+        return MPoly(nvars, {tuple(e): 1})
 
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)

@@ -3,15 +3,21 @@
 The largest-root CDF determinant expands, row by row, into y-series of the
 H-integrals; a determinant of series is itself a series whose coefficients
 are determinants of the row coefficients over strictly increasing exponent
-tuples (the bialternant expansion).  Everything here is exact: coefficients
-are ExpPoly values, the antisymmetric part divides exactly by the
-Vandermonde, and the quotients are Schur polynomials.
+tuples q (Cauchy-Binet):  sum_q p_q det(lam_i^{q_j}).  Everything here is
+exact.
+
+One function turns such an expansion into a lam-series: sum_q p_q minor(q),
+the minors taken by Laplace expansion of an m x (top+1) matrix of
+polynomials in lam.  The monomial matrix lam_i^l gives the alternants, so
+the series itself (R); the flagged matrix h_{l-i}(lam_1..lam_{i+1}) gives
+the alternants divided by the Vandermonde, the Schur polynomials (psi and
+the symmetric CDF series), so nothing is ever divided.
 
 Series are built and held as an integer image: every coefficient is a term
 map with Python-int numerators, and one integer denominator serves the
 whole series.  The determinant's entries are cleared to ints once, per
-column, so minors, d/dx, the signed expansion and the Schur quotients are
-int arithmetic; rationals appear only when a caller reads coefficients.
+column, so minors, d/dx and the lam-expansion are int arithmetic;
+rationals appear only when a caller reads coefficients.
 
 The central products are ``build_R_series`` (the x-derivative of the CDF
 determinant, the function all the differential operators annihilate) and
@@ -29,13 +35,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exp_poly import ExpPoly, Term, decimal_exp, decimal_terms, eval_terms, terms_diff, terms_mul
 from .h_integrals import HIndex, h_series_numerators
+from .ratfunc import MPoly
 
 Expo = Tuple[int, ...]
 Image = Dict[Expo, Dict[Term, int]]  # series numerators over one shared denominator
-
-
-class SeriesDivisionError(ArithmeticError):
-    """An antisymmetric component failed exact Vandermonde divisibility."""
 
 
 def _clear(polys: Sequence[ExpPoly]) -> Tuple[List[Dict[Term, int]], int]:
@@ -265,37 +268,12 @@ class SchurExpansion:
         return ExpPoly.zero()
 
     def to_lambda_series(self) -> LambdaSeries:
-        """Expand every monomial determinant det(lam_i^{q_j}) with signs.
-
-        The permutations of distinct strictly increasing tuples are distinct,
-        so every exponent receives exactly one signed coefficient."""
-        out: Image = {}
-        for q, p in self.items:
-            neg = {t: -v for t, v in p.items()}
-            for perm in itertools.permutations(range(self.m)):
-                out[tuple(q[i] for i in perm)] = p if _perm_sign(perm) > 0 else neg
-        return LambdaSeries.image(self.m, self.order, out, self.den)
+        """sum_q p_q det(lam_i^{q_j}): the minors of the monomial matrix."""
+        return _lambda_series(self, monomial_matrix(self.m, self.order), self.order, self.den)
 
     def diff_x(self) -> "SchurExpansion":
         items = [(q, terms_diff(p)) for q, p in self.items]
         return SchurExpansion(self.m, self.order, [(q, p) for q, p in items if p], self.den)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def laplace_minors(rows: Sequence[Sequence]) -> Callable[[Tuple[int, ...]], object]:
@@ -303,7 +281,7 @@ def laplace_minors(rows: Sequence[Sequence]) -> Callable[[Tuple[int, ...]], obje
     det(rows[i][cols[j]]) for a tuple of len(rows) column indices, by
     Laplace expansion along the top row.  The minors of the lower rows are
     memoized, so column tuples sharing them share the work.  Entries are
-    exact ring elements (ExpPoly, RatFunc)."""
+    exact ring elements (ExpPoly, MPoly, RatFunc)."""
     return _LaplaceMinors(rows)
 
 
@@ -394,126 +372,70 @@ def build_cdf_series(n: int, m: int, order: int) -> LambdaSeries:
 
 
 # ---------------------------------------------------------------------------
-# Schur polynomials via exact alternant / Vandermonde division
+# the lam-expansion of a Schur expansion: sum_q p_q * minor(q)
 # ---------------------------------------------------------------------------
 
-def _poly_divide_linear(
-    poly: Dict[Expo, int], i: int, j: int
-) -> Tuple[Dict[Expo, int], Dict[Expo, int]]:
-    """Exact division by (lam_i - lam_j): returns (quotient, remainder).
+def _lambda_series(expansion: SchurExpansion, matrix: Sequence[Sequence[MPoly]],
+                   order: int, den: int, sign: int = 1) -> LambdaSeries:
+    """sign * sum_q p_q * det(matrix[i][q_j]) / den, truncated at ``order`` in
+    each lam.  The Laplace memo shares the lower-row minors across all q."""
+    minor = laplace_minors(matrix)
+    out: Image = {}
+    for q, p in expansion.items:
+        for e, s in minor(q).terms.items():
+            if max(e) <= order:
+                _add_into(out, e, p, sign * s)
+    return LambdaSeries.image(expansion.m, order, out, den)
 
-    Synthetic division treating the polynomial as univariate in u = lam_i
-    with v = lam_j as the root value; the remainder is the substitution
-    u -> v and vanishes exactly when the input is divisible.  The divisor is
-    monic, so int (or Fraction) coefficients stay int (or Fraction).
-    """
-    grouped: Dict[Tuple, Dict[int, int]] = {}
-    for e, c in poly.items():
-        key = e[:i] + (0,) + e[i + 1:]
-        grouped.setdefault(key, {})[e[i]] = c
 
-    def _emit(acc: Dict[Expo, int], key, upow: int, vpow: int, c: int):
-        e = list(key)
-        e[i] = upow
-        e[j] += vpow
-        ee = tuple(e)
-        s = acc.get(ee, 0) + c
-        if s == 0:
-            acc.pop(ee, None)
-        else:
-            acc[ee] = s
+def monomial_matrix(m: int, top: int) -> List[List[MPoly]]:
+    """lam_i^l for l = 0..top: its minor on columns q is the alternant
+    det(lam_i^{q_j})."""
+    return [[MPoly.var(m, i, l) for l in range(top + 1)] for i in range(m)]
 
-    quot: Dict[Expo, int] = {}
-    rem: Dict[Expo, int] = {}
-    for key, uni in grouped.items():
-        deg = max(uni)
-        carry: Dict[int, int] = {}  # v-power -> coeff; equals sum_{t>d} a_t v^{t-d-1}
-        for d in range(deg, 0, -1):
-            new_carry = {p + 1: c for p, c in carry.items()}
-            a_d = uni.get(d)
-            if a_d:
-                new_carry[0] = new_carry.get(0, 0) + a_d
-            for p, c in new_carry.items():
-                if c:
-                    _emit(quot, key, d - 1, p, c)
-            carry = new_carry
-        final = {p + 1: c for p, c in carry.items()}
-        a0 = uni.get(0)
-        if a0:
-            final[0] = final.get(0, 0) + a0
-        for p, c in final.items():
-            if c:
-                _emit(rem, key, 0, p, c)
-    return quot, rem
+
+def flagged_matrix(m: int, top: int) -> List[List[MPoly]]:
+    """h_{l-i}(lam_1..lam_{i+1}) for l = 0..top (h_r the complete homogeneous
+    polynomial, zero for r < 0): its minor on a strictly increasing q is the
+    Schur polynomial det(lam_i^{q_j}) / prod_{i<j}(lam_j - lam_i) (the
+    flagged Jacobi-Trudi form, Macdonald ch. I section 3).  The rows follow
+    h_r(lam_1..lam_{i+1}) = h_r(lam_1..lam_i) + lam_{i+1} h_{r-1}(lam_1..lam_{i+1})."""
+    zero = MPoly(m)
+    h = [MPoly.const(m, 1)] + [zero] * top  # h_r of no variables
+    rows = []
+    for i in range(m):
+        lam = MPoly.var(m, i)
+        for r in range(1, top + 1):
+            h[r] = h[r] + lam * h[r - 1]
+        rows.append([zero] * i + h[:top + 1 - i])
+    return rows
 
 
 def schur_poly(q: Expo, m: int) -> Dict[Expo, int]:
     """det(lam_i^{q_j}) / det(lam_i^{(0..m-1)}) as an exact polynomial (the
     Schur polynomial attached to the strictly increasing tuple q), with int
-    coefficients."""
+    coefficients: one minor of the flagged matrix."""
     if len(q) != m or any(q[i] >= q[i + 1] for i in range(m - 1)):
         raise ValueError("q must be strictly increasing of length m")
-    alt: Dict[Expo, int] = {}
-    for perm in itertools.permutations(range(m)):
-        sign = _perm_sign(perm)
-        expo = tuple(q[perm[i]] for i in range(m))
-        alt[expo] = alt.get(expo, 0) + sign
-    alt = {e: c for e, c in alt.items() if c != 0}
-    # det(lam_i^{(0..m-1)}) = prod_{i<j}(lam_j - lam_i); divide by the
-    # (lam_i - lam_j) factors and flip the sign once per pair
-    poly = alt
-    flips = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            poly, rem = _poly_divide_linear(poly, i, j)
-            if rem:
-                raise SeriesDivisionError(
-                    f"alternant for q={q} not divisible by (lam_{i} - lam_{j})"
-                )
-            flips += 1
-    if flips % 2 == 1:
-        poly = {e: -c for e, c in poly.items()}
-    return poly
+    return laplace_minors(flagged_matrix(m, q[-1]))(tuple(q)).terms
 
 
 def vandermonde_quotient(expansion: SchurExpansion, n: int, m: int, order: int) -> LambdaSeries:
     """(-1)^{m(m-1)/2} / (n-m)!^m times a determinant's Schur expansion divided
     by the Vandermonde prod_{i<j}(lam_i - lam_j), truncated at ``order`` in
-    each lam: each monomial determinant divides exactly, the quotient being a
-    Schur polynomial."""
-    sign = (-1) ** (m * (m - 1) // 2)
-    out: Image = {}
-    for q, p in expansion.items:
-        for e, s in schur_poly(q, m).items():
-            if max(e) <= order:
-                _add_into(out, e, p, sign * s)
-    return LambdaSeries.image(m, order, out, expansion.den * math.factorial(n - m) ** m)
+    each lam: each monomial determinant's quotient is a Schur polynomial, a
+    minor of the flagged matrix, so nothing is divided."""
+    return _lambda_series(expansion, flagged_matrix(m, expansion.order), order,
+                          expansion.den * math.factorial(n - m) ** m, (-1) ** (m * (m - 1) // 2))
 
 
-def build_psi_series(
-    n: int, m: int, order: int, fold_exp: bool = False
-) -> LambdaSeries:
+def build_psi_series(n: int, m: int, order: int) -> LambdaSeries:
     """Series of psi_{n,m} * e^{+sum(lam)}  (symmetric part of the density).
 
     That is R_{n,m} / ( {(n-m)!}^m  prod_{i<j}(lam_i - lam_j) ), computed per
-    Schur component (``vandermonde_quotient``).  With ``fold_exp`` the
-    truncated series of e^{-sum(lam)} is multiplied back in, giving the
-    density series itself.
+    Schur component (``vandermonde_quotient``).
     """
-    res = vandermonde_quotient(cdf_det_expansion(n, m, order + m).diff_x(), n, m, order)
-    if fold_exp:
-        res = res * _exp_minus_sum_series(m, order)
-    return res
-
-
-def _exp_minus_sum_series(m: int, order: int) -> LambdaSeries:
-    coeffs: Dict[Expo, ExpPoly] = {}
-    for q in itertools.product(range(order + 1), repeat=m):
-        c = Fraction(1)
-        for e in q:
-            c *= Fraction((-1) ** e, math.factorial(e))
-        coeffs[q] = ExpPoly.const(c)
-    return LambdaSeries(m, order, coeffs)
+    return vandermonde_quotient(cdf_det_expansion(n, m, order + m).diff_x(), n, m, order)
 
 
 def lemma7_check(matrix: List[List[ExpPoly]], scalars: Sequence) -> bool:

@@ -83,3 +83,24 @@ def test_curves_hgm_operations_match_quadrature():
         for r in rows:
             ref = pdf_quadrature(p, float(r[0]), EvalConfig())
             assert float(r[col]) == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+def test_curves_series_operations_match_quadrature():
+    # both series grids of the curves workload, run as the benchmark runs it
+    from wishart_roots.distribution import EvalConfig, WishartParams, pdf_quadrature
+
+    workloads = load("workloads")
+    pkg = workloads.Package()
+    ops = [op for curves in workloads.make_inputs("curves", 1)["sets"]
+           for op in curves["cheap"] + curves["heavy"] if op["route"] == "series"]
+    assert len(ops) == 2
+    for op in ops:
+        rc, text = pkg.run(op)
+        assert rc == 0
+        header, *rows = csv.reader(io.StringIO(text))
+        assert [float(r[0]) for r in rows] == op["xs"]
+        col = header.index(op["col"])
+        p = WishartParams(op["n"], op["m"], op["lambdas"])
+        for r in rows:
+            ref = pdf_quadrature(p, float(r[0]), EvalConfig())
+            assert float(r[col]) == pytest.approx(ref, rel=1e-6, abs=0)

@@ -269,6 +269,14 @@ class TestNumericFailureExit:
         assert code == 2
         assert "numeric failure" in err
 
+    def test_nan_value_is_numeric_failure(self, capsys):
+        # the m = 2 conjecture overflows to NaN here; no row is printed
+        code, out, err = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "500,400",
+                                 "--x", "540", "--method", "conjecture")
+        assert code == 2
+        assert out == ""
+        assert "numeric failure" in err and "nan" in err
+
 
 class TestConfigFile:
     def test_defaults_from_json(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from wishart_roots.distribution import (
     EvalConfig,
     Jet,
+    NumericFailure,
     WishartParams,
     cdf,
     cdf_quadrature,
@@ -327,6 +328,14 @@ class TestConjecture:
         cfg4 = EvalConfig(experimental_m4=True)
         a = pdf_quadrature(p, 3.0, CFG)
         assert pdf_conjecture(p, 3.0, cfg4) == pytest.approx(a, rel=1e-6)
+
+    def test_nonfinite_value_raises(self):
+        # the conjecture determinant is NaN at this large-lam point; the
+        # dispatch refuses it rather than returning it
+        p = WishartParams(5, 3, (400.0, 300.0, 200.0))
+        assert math.isnan(pdf_conjecture(p, 480.0, CFG))
+        with pytest.raises(NumericFailure):
+            pdf(p, 480.0, EvalConfig(method="conjecture"))
 
     def test_cdf_has_no_conjecture_route(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wishart_roots.distribution import EvalConfig, WishartParams, pdf_quadrature, cdf_quadrature
+from wishart_roots.distribution import (EvalConfig, NumericFailure, WishartParams, cdf_quadrature,
+                                        pdf_quadrature)
 from wishart_roots.h_integrals import HIndex, h_eval
 from wishart_roots.hgm import (
     X0,
@@ -287,6 +288,14 @@ class TestDistributionValues:
         assert [r[0] for r in rows] == [1.0, 2.0, 4.0, 6.0]
         for x, values, R, psi in rows:
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_integration_failure_is_numeric_failure(self):
+        # the state overflows on the way to x = 440 at lam = 400 and the
+        # step size collapses; this pins the refusal while the route does
+        # not serve such lam (the density there is 0.005829)
+        with pytest.raises(NumericFailure, match="HGM integration failed"):
+            pdf_hgm(WishartParams(3, 1, (400.0,)), 440.0, CFG)
 
     def test_repeated_lambda_matches_quadrature(self):
         for n, m, lams in [(4, 2, (1.0, 1.0)), (5, 3, (2.0, 2.0, 2.0))]:
