@@ -36,7 +36,7 @@ def main() -> int:
         for mth in methods:
             try:
                 vals.append(pdf(params, x, cfgs[mth]))
-            except ValueError:
+            except (ValueError, ArithmeticError):  # unsupported, or refused
                 vals.append(float("nan"))
         finite = [v for v in vals if v == v]
         spread = (max(finite) - min(finite)) / max(abs(max(finite)), 1e-300)

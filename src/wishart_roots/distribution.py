@@ -2,9 +2,11 @@
 
 Routes
 ------
-quadrature : the determinantal CDF formula with H-integral entries (by
-             their term-wise gamma series), and its x-derivative cofactor
-             expansion for the density.
+quadrature : the determinantal CDF formula with H-integral entries, each a
+             power series in lam whose coefficients are regularised
+             incomplete gammas read from one ``PoissonTails`` array per
+             abscissa, and its x-derivative as one bordered determinant for
+             the density.
 series     : evaluation of the exact truncated lam-series (fast and robust
              for small noncentrality; symmetric, so confluent lam's are
              free).
@@ -16,20 +18,25 @@ hgm        : Pfaffian ODE integration (in wishart_roots.hgm; dispatched
 Every determinant over the eigenvalues is the determinant of divided
 differences f_j[lam_1..lam_i] (``divided_rows``), summed as power series with
 nonnegative weights, so nothing is divided by the Vandermonde and repeated,
-clustered and zero eigenvalues need no special case and no threshold.
+clustered and zero eigenvalues need no special case and no threshold.  The
+quadrature route sums those rows again in decimals where their determinant
+is ill conditioned (``_rows_det``), and raises ``NumericFailure`` where it
+leaves float range (sum lam >~ 700 outside the far tails).
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .h_integrals import HIndex, h_eval
 from .series_engine import LambdaSeries, build_psi_series, cdf_det_expansion, vandermonde_quotient
-from .special_fn import MAX_TERMS, hpg01, incomplete_gamma, pochhammer
+from .special_fn import MAX_TERMS, PoissonTails, hpg01, incomplete_gamma, pochhammer
 
 
 class NumericFailure(ArithmeticError):
@@ -66,10 +73,11 @@ class EvalConfig:
 
 
 def _det(mat: List[List[float]]) -> float:
-    """LU determinant with partial pivoting (matrices here are tiny)."""
+    """LU determinant with partial pivoting (matrices here are tiny); the
+    entries may be floats or Decimals."""
     n = len(mat)
     a = [row[:] for row in mat]
-    det = 1.0
+    det = 1
     for c in range(n):
         piv = max(range(c, n), key=lambda r: abs(a[r][c]))
         if a[piv][c] == 0.0:
@@ -85,12 +93,42 @@ def _det(mat: List[List[float]]) -> float:
     return det
 
 
+def _det_cond(mat: List[List[float]]) -> Tuple[float, float]:
+    """Determinant and Skeel condition number sum_ij |a_ij (A^-1)_ji| of a
+    small matrix, by Gauss-Jordan elimination with partial pivoting (which
+    yields A^-1 alongside the pivots that ``_det`` multiplies).  Relative
+    errors e in the entries move the determinant by up to about e times the
+    condition number (inf for a singular matrix)."""
+    n = len(mat)
+    a = [row + [0.0] * n for row in mat]
+    for i, row in enumerate(a):
+        row[n + i] = 1.0
+    det = 1.0
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
+        prow = a[piv]
+        p = prow[c]
+        if p == 0.0:
+            return 0.0, math.inf
+        if piv != c:
+            a[piv] = a[c]
+            det = -det
+        det *= p
+        prow = [v / p for v in prow]
+        a[c] = prow
+        for r, row in enumerate(a):
+            if r != c:
+                f = row[c]
+                a[r] = [u - f * v for u, v in zip(row, prow)]
+    return det, sum(abs(v * row[n + i]) for i, mrow in enumerate(mat) for v, row in zip(mrow, a))
+
+
 # ---------------------------------------------------------------------------
 # divided-difference determinants
 # ---------------------------------------------------------------------------
 
 def divided_rows(columns: Sequence[Callable[[float], Iterator[float]]],
-                 lambdas: Sequence[float]) -> List[List[float]]:
+                 lambdas: Sequence[float], num: Callable = lambda v: v) -> List[List[float]]:
     """Divided differences f_c[lam_1..lam_i] (row i = 1..m, lam ascending) of
     power series f_c(y) = sum_l c_l y^l, one column per series: row i is
     sum_l c_l h_{l-i+1}(lam_1..lam_i), h_r the complete homogeneous polynomials.
@@ -102,30 +140,41 @@ def divided_rows(columns: Sequence[Callable[[float], Iterator[float]]],
     yields c_l s^l; h runs on lam/s and row i is divided by s^{i-1}, so every
     term stays in float range.  A column is summed until it ends or until, at
     two consecutive l, each row's term is below 1e-17 of its sum of |terms|.
+    ``num`` converts the eigenvalues and the constants to the columns' number
+    type (``Decimal`` for columns that yield Decimals); by default they are
+    used as they are.
     """
     m = len(lambdas)
     s = max(max(lambdas), 1)
-    mu = [v / s for v in sorted(lambdas)]
+    scale = num(s)
+    mu = [num(v) / scale for v in sorted(lambdas)]
+    tiny = num(1e-17)
     hs = [[1] * m]  # hs[r][i] = h_r(mu_1..mu_{i+1})
-    rows = [[0] * len(columns) for _ in range(m)]
-    for c, column in enumerate(columns):
-        mags = [0.0] * m
+    diagonals = [[1]]  # diagonals[l][i] = hs[l-i][i], the weights of c_l in rows i < min(l+1, m)
+    sums = []
+    for column in columns:
+        acc = [0] * m
+        mags = [num(0)] * m
         quiet = 0
         for l, coef in enumerate(column(s)):
-            if l == MAX_TERMS:
-                raise NumericFailure("divided-difference series did not converge")
-            if l == len(hs):  # h_r(mu_1..mu_i) = sum_{t<=i} mu_t h_{r-1}(mu_1..mu_t)
+            if l == len(diagonals):
+                if l == MAX_TERMS:
+                    raise NumericFailure("divided-difference series did not converge")
+                # h_r(mu_1..mu_i) = sum_{t<=i} mu_t h_{r-1}(mu_1..mu_t)
                 hs.append(list(itertools.accumulate(u * h for u, h in zip(mu, hs[-1]))))
+                diagonals.append([hs[l - i][i] for i in range(min(l + 1, m))])
             small = l >= m - 1
-            for i in range(min(l + 1, m)):
-                t = coef * hs[l - i][i]
-                rows[i][c] += t
-                mags[i] += abs(t)
-                small = small and abs(t) <= 1e-17 * mags[i]
+            for i, h in enumerate(diagonals[l]):
+                t = coef * h
+                acc[i] += t
+                t = abs(t)
+                mags[i] += t
+                small = small and t <= tiny * mags[i]
             quiet = quiet + 1 if small else 0
             if quiet == 2:
                 break
-    return [[v / s ** i for v in row] for i, row in enumerate(rows)]
+        sums.append(acc)
+    return [[acc[i] / scale ** i for acc in sums] for i in range(m)]
 
 
 def _front_factor(params: WishartParams) -> float:
@@ -134,22 +183,80 @@ def _front_factor(params: WishartParams) -> float:
     return (-1) ** (m * (m - 1) // 2) * math.exp(-sum(params.lambdas)) / math.factorial(n - m) ** m
 
 
+def _fronted(params: WishartParams, det: float, shift: float = 0.0) -> float:
+    """(-1)^{m(m-1)/2} e^{-sum lam - shift} det, the value of a determinant
+    over the columns H^{n-j}_N / (n-m)!, taken through logarithms when
+    e^{-sum lam - shift} would underflow, so a representable value is not
+    lost.  A determinant that is not finite raises ``NumericFailure``."""
+    if not math.isfinite(det):
+        raise NumericFailure("the determinant of the quadrature rows left float range")
+    m = params.m
+    sign = (-1) ** (m * (m - 1) // 2)
+    log_front = -sum(params.lambdas) - shift
+    if log_front > -700.0 or det == 0.0:
+        return sign * math.exp(log_front) * det
+    return sign * math.copysign(math.exp(math.log(abs(det)) + log_front), det)
+
+
+def _border(n: int, x: float, m: int, r: int = 0) -> List[float]:
+    """x^{n-j} / r! (j = 1..m) and 0: bordering rows that end in the divided
+    differences of e^{-x} hpg01(N; x y) with this row gives minus the
+    x-derivative of the determinant of the H^{n-j}_N / r! rows."""
+    return [x ** (n - j) / math.factorial(r) for j in range(1, m + 1)] + [0.0]
+
+
 def _det_dx(n: int, x: float, rows: List[List[float]]) -> float:
     """d/dx det(H^{n-j}_N[lam_1..lam_i]) from those rows, each ending in its
     divided difference of e^{-x} hpg01(N; x y), which times x^{n-j} is
     d/dx H^{n-j}_N(x, y): the sum of the determinants with one row
     differentiated is minus the bordered one."""
-    border = [x ** (n - j) for j in range(1, len(rows) + 1)] + [0.0]
-    return -_det(rows + [border])
+    return -_det(rows + [_border(n, x, len(rows))])
 
 
-def _h_series(k: int, N: int, x: float, s: float) -> Iterator[float]:
-    """Coefficients of H^k_N(x, y) = sum_l gamma(k+l+1, x) y^l / ((N)_l l!), times s^l."""
-    t = 1.0
-    for l in itertools.count():
-        if l:
-            t *= s / ((N + l - 1) * l)
-        yield incomplete_gamma(k + l + 1, x) * t
+# a determinant over float rows whose Skeel condition number exceeds COND_LIMIT
+# is taken again from rows summed in DECIMAL_DIGITS-digit decimals: each float
+# row carries a relative error of about 1e-16, and the determinant multiplies
+# it by the condition number (up to ~3e8 at m = 4, lam ~ 200, x < 60)
+COND_LIMIT = 1e6
+DECIMAL_DIGITS = 40
+
+
+def _rows_det(columns: Sequence[Callable[[float], Iterator[float]]], lambdas: Sequence[float],
+              extra: Sequence[List[float]] = ()) -> float:
+    """det(divided_rows(columns, lambdas) + extra), within about 1e-10 relative
+    of the determinant of the series' divided differences."""
+    rows = divided_rows(columns, lambdas) + list(extra)
+    det, cond = _det_cond(rows)
+    if cond <= COND_LIMIT or not math.isfinite(det):
+        return det
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        decimal_columns = [lambda s, column=column: map(Decimal, column(s)) for column in columns]
+        rows = divided_rows(decimal_columns, lambdas, Decimal)
+        return float(_det(rows + [[Decimal(v) for v in row] for row in extra]))
+
+
+def _tails(params: WishartParams, x: float) -> PoissonTails:
+    """One Poisson-tail array at x for all H columns, with room for the terms
+    their series usually need (a longer read extends it)."""
+    s = max(max(params.lambdas), 1.0)
+    return PoissonTails(x, params.n + int(2.0 * math.sqrt(x * s) + 2.0 * s) + 20)
+
+
+def _h_series(k: int, N: int, tails: PoissonTails, s: float, r: int = 0) -> Iterator[float]:
+    """Coefficients of H^k_N(x, y) / r! = sum_l gamma(k+l+1, x) y^l / ((N)_l l! r!),
+    times s^l, at the x of ``tails`` (r <= k): gamma(k+l+1, x) = (k+l)! P(k+l+1, x),
+    so coefficient l is P(k+l+1, x) (k!/r!) (k+1)_l s^l / ((N)_l l!), with the
+    ratio (k+l+1) s / ((N+l)(l+1)) carried from term to term and Gamma never
+    formed."""
+    t = float(math.factorial(k) // math.factorial(r))
+    l = 0
+    while True:
+        for p in tails.values[k + l + 1:]:
+            yield p * t
+            t *= (k + l + 1) * s / ((N + l) * (l + 1))
+            l += 1
+        tails.reach(k + l + 1)
 
 
 def _hpg01_series(nu: int, x: float, s: float, scale: float | None = None) -> Iterator[float]:
@@ -166,27 +273,50 @@ def _hpg01_series(nu: int, x: float, s: float, scale: float | None = None) -> It
 # quadrature route (the determinantal formula itself)
 # ---------------------------------------------------------------------------
 
-def cdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+# the density's hpg01 column carries e^{-min(x, PDF_SHIFT)}, small enough to
+# keep e^{2 sqrt(x lam)} in range and large enough not to underflow; the rest
+# of e^{-x} joins the front factor
+PDF_SHIFT = 700.0
+
+
+def _h_columns(params: WishartParams, x: float) -> list:
+    """The columns H^{n-j}_N(x, y) / (n-m)!, j = 1..m, over one shared
+    ``PoissonTails`` array at x (the factorials of the front factor go into
+    the columns, which keeps the determinant in range a little longer)."""
     n, m = params.n, params.m
+    tails = _tails(params, x)
+    return [functools.partial(_h_series, n - j, n - m + 1, tails, r=n - m) for j in range(1, m + 1)]
+
+
+def cdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+    """(-1)^{m(m-1)/2} e^{-sum lam} / (n-m)!^m det(H^{n-j}_N[lam_1..lam_i]),
+    the entries summed as power series in lam (``divided_rows``).  The rows'
+    determinant leaves float range once sum lam >~ 700 (outside the far
+    tails); there it raises ``NumericFailure``."""
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0
-    columns = [functools.partial(_h_series, n - j, n - m + 1, x) for j in range(1, m + 1)]
-    val = _front_factor(params) * _det(divided_rows(columns, params.lambdas))
+    val = _fronted(params, _rows_det(_h_columns(params, x), params.lambdas))
     return min(max(val, 0.0), 1.0)
 
 
 def pdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+    """The x-derivative of ``cdf_quadrature``'s determinant, one bordered
+    determinant over the same rows plus the divided differences of
+    e^{-x} hpg01(N; x lam) (``_det_dx``).  It raises ``NumericFailure`` where
+    that determinant leaves float range, once sum lam >~ 700 (outside the far
+    tails)."""
     n, m = params.n, params.m
-    N = n - m + 1
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0 if not (n == m == 1) else math.exp(-sum(params.lambdas))
-    columns = [functools.partial(_h_series, n - j, N, x) for j in range(1, m + 1)]
-    columns.append(functools.partial(_hpg01_series, N, x))
-    return _front_factor(params) * _det_dx(n, x, divided_rows(columns, params.lambdas))
+    shift = max(x - PDF_SHIFT, 0.0)
+    columns = _h_columns(params, x)
+    columns.append(functools.partial(_hpg01_series, n - m + 1, x, scale=math.exp(shift - x)))
+    det = -_rows_det(columns, params.lambdas, [_border(n, x, m, n - m)])
+    return _fronted(params, det, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _front_factor,
-                           _h_series, _hpg01_series, divided_rows)
+                           _h_series, _hpg01_series, _tails, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
@@ -113,12 +113,14 @@ class HgmState:
 
 def initial_state(params: WishartParams, x0: float, cfg: EvalConfig | None = None) -> HgmState:
     """The state at a small abscissa, summed from the power series in y by
-    ``divided_rows``: the quadrature route's rows plus the hpg01 columns."""
+    ``divided_rows``: the rows of H^{n-j}_N (the quadrature route's without
+    its 1/(n-m)!, over one tail array at x0) plus the hpg01 columns."""
     if not (0 < x0 <= X0):
         raise ValueError(f"initial abscissa must satisfy 0 < x0 <= {X0}")
     n, m = params.n, params.m
     N = n - m + 1
-    columns = [functools.partial(_h_series, n - j, N, x0) for j in range(1, m + 1)]
+    tails = _tails(params, x0)
+    columns = [functools.partial(_h_series, n - j, N, tails) for j in range(1, m + 1)]
     columns += [functools.partial(_hpg01_series, nu, x0, scale=1.0) for nu in (N, N + 1)]
     return HgmState(x0, np.array(divided_rows(columns, params.lambdas)).ravel())
 

@@ -5,21 +5,27 @@ The building block of everything here is the confluent limit function
     hpg01(n, z) = sum_k z^k / ((n)_k k!)        (lower parameter n, no upper)
 
 together with the modified Bessel cross-check I_n(z), the lower incomplete
-gamma gamma(a, x), and the Marcum Q-function in the normalization
+gamma gamma(a, x) and its regularised form P(a, x), the array of P(a, x)
+at a = 0..top that the quadrature route reads (``PoissonTails``), and the
+Marcum Q-function in the normalization
 
     Q_n(x, y) = e^{-x}/(n-1)! * int_y^inf t^{n-1} e^{-t} hpg01(n, x t) dt,
 
 which is the one the m = 1 largest-root CDF complements.  All in-scope
 arguments are nonnegative, so the series have positive terms and no
-cancellation; plain compensated summation reaches ~1e-13 relative error
-for z <= 500.  Larger arguments would need scaled asymptotics, which are
-deliberately out of scope.
+cancellation; plain compensated summation reaches ~1e-13 relative error.
+``incomplete_gamma`` scales by Gamma(a) and so overflows for a > 171;
+``PoissonTails`` forms no Gamma(a) and starts its terms at their mode, so
+it serves any a and x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import lru_cache
+from typing import List
 
 
 class ConvergenceError(ArithmeticError):
@@ -79,25 +85,36 @@ def bessel_i_check(n: int, z: float) -> float:
 # would otherwise pile up for the life of the process
 @lru_cache(maxsize=8192)
 def incomplete_gamma(a: float, x: float) -> float:
-    """Lower incomplete gamma gamma(a, x) = int_0^x t^{a-1} e^{-t} dt.
-
-    Series for x < a + 1, continued fraction for the complement otherwise
-    (the classic split), both run to 1e-15 relative on the regularized
-    value before scaling by Gamma(a).
-    """
+    """Lower incomplete gamma gamma(a, x) = int_0^x t^{a-1} e^{-t} dt,
+    that is ``regularized_p(a, x)`` scaled by Gamma(a) (which overflows for
+    a > 171; the H columns use ``PoissonTails`` instead)."""
     if a <= 0:
         raise ValueError("incomplete_gamma requires a > 0")
     if x < 0:
         raise ValueError("incomplete_gamma requires x >= 0")
     if x == 0.0:
         return 0.0
+    return regularized_p(a, x) * math.gamma(a)
+
+
+def regularized_p(a: float, x: float, front: float | None = None) -> float:
+    """Regularized P(a, x) = gamma(a, x) / Gamma(a), for a > 0 and x > 0.
+
+    Series for x < a + 1, 1 - Q by the continued fraction otherwise (the
+    classic split), both run to 1e-16 relative.  ``front`` is the common
+    factor e^{-x} x^a / Gamma(a); by default it is formed from logarithms,
+    whose rounding costs about 1e-16 * a log(x) relative, so a caller that
+    has it more accurately passes it in.
+    """
+    if front is None:
+        front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return _gamma_series(a, x) * math.gamma(a)
-    return (1.0 - _gamma_cf(a, x)) * math.gamma(a)
+        return front * _gamma_series(a, x)
+    return 1.0 - front * _gamma_cf(a, x)
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """Regularized P(a, x) by the ascending series."""
+    """P(a, x) over its front factor, by the ascending series."""
     ap = a
     delta = 1.0 / a
     total = delta
@@ -106,12 +123,13 @@ def _gamma_series(a: float, x: float) -> float:
         delta *= x / ap
         total += delta
         if abs(delta) < abs(total) * 1e-16:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
     raise ConvergenceError(f"incomplete gamma series stalled at a={a}, x={x}")
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Regularized Q(a, x) = 1 - P(a, x) by the Lentz continued fraction."""
+    """Q(a, x) = 1 - P(a, x) over its front factor, by the Lentz continued
+    fraction."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -130,8 +148,81 @@ def _gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+            return h
     raise ConvergenceError(f"incomplete gamma CF stalled at a={a}, x={x}")
+
+
+def _poisson_term(k: int, x: float) -> float:
+    """e^{-x} x^k / k! to a few ulps when k is near x, without forming e^{-x}:
+    exp(-stirlerr(k) - bd0(k, x)) / sqrt(2 pi k) (Loader, "Fast and accurate
+    computation of binomial probabilities", 2000), where the deviance
+    bd0 = k log(k/x) + x - k is summed as a series near k = x and
+    stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) is Stirling's series."""
+    if k == 0:
+        return math.exp(-x)
+    if k > 15:
+        k2 = 1.0 / (k * k)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
+    else:
+        stirlerr = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    if abs(k - x) < 0.1 * (k + x):
+        v = (k - x) / (k + x)
+        bd0 = (k - x) * v
+        term = 2.0 * k * v
+        for j in itertools.count(1):
+            term *= v * v
+            nxt = bd0 + term / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0 = nxt
+    else:
+        bd0 = k * math.log(k / x) + x - k
+    return math.exp(-stirlerr - bd0) / math.sqrt(2 * math.pi * k)
+
+
+class PoissonTails:
+    """P(a, x) = e^{-x} sum_{i>=a} x^i / i!, the regularized lower incomplete
+    gamma at integer a, for a = 0..top, in the list ``values``.
+
+    The Poisson terms e^{-x} x^a / a! are run out by their ratios from the
+    mode, which ``_poisson_term`` gives directly (e^{-x} alone underflows for
+    x > 745, the term at the mode does not), up to ``top`` and down to 0.
+    P(top, x) is ``regularized_p`` with the front factor top times the term
+    at top, and each P(a, x) below it adds one positive term: there is no
+    cancellation and no Gamma(a).
+    ``reach(a)`` rebuilds the list in place, doubling ``top`` until it
+    holds index a, so every holder of ``values`` sees the longer list.
+    """
+
+    __slots__ = ("x", "values")
+
+    def __init__(self, x: float, top: int):
+        if x < 0:
+            raise ValueError("PoissonTails requires x >= 0")
+        self.x = x
+        self.values = self._build(max(int(top), 1))
+
+    def reach(self, a: int) -> None:
+        top = len(self.values) - 1
+        if a > top:
+            while top < a:
+                top *= 2
+            self.values[:] = self._build(top)
+
+    def _build(self, top: int) -> List[float]:
+        x = self.x
+        if x == 0.0:
+            return [1.0] + [0.0] * top
+        mode = min(int(x), top)
+        peak = _poisson_term(mode, x)
+        up = list(itertools.accumulate([x / a for a in range(mode + 1, top + 1)], operator.mul,
+                                       initial=peak))  # terms mode..top
+        down = list(itertools.accumulate([a / x for a in range(mode, 0, -1)], operator.mul,
+                                         initial=peak))  # terms mode..0
+        p_top = regularized_p(top, x, front=top * up[-1])
+        tails = list(itertools.accumulate(up[-2::-1] + down[1:], initial=p_top))
+        tails.reverse()
+        return tails
 
 
 def marcum_q(n: int, x: float, y: float) -> float:

@@ -23,6 +23,20 @@ class TestPointCommands:
         assert float(value) == pytest.approx(0.0093813012844991, rel=1e-10)
         assert float(err) < 1e-9
 
+    def test_quadrature_at_large_noncentrality(self, capsys):
+        # the H-series needs incomplete gammas past Gamma's float range here
+        code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "100,50",
+                               "--x", "120", "--method", "quadrature")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(0.017279376390519807,
+                                                                          rel=1e-8)
+
+    def test_quadrature_refusal_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "cdf", "--n", "5", "--m", "3", "--lambda", "500,400,300",
+                                 "--x", "450", "--method", "quadrature")
+        assert code == 2 and out == ""
+        assert "float range" in err
+
     def test_determinism(self, capsys):
         a = run_cli(capsys, "pdf", "--n", "3", "--m", "2", "--lambda", "1.5,0.5", "--x", "2")
         b = run_cli(capsys, "pdf", "--n", "3", "--m", "2", "--lambda", "1.5,0.5", "--x", "2")

@@ -427,3 +427,128 @@ class TestDividedDifferences:
                 # with one eigenvalue the divided difference is the value
                 total = divided_rows([partial(g_series, n, level, x)], [y])[0][0]
                 assert math.exp(x) * total == pytest.approx(g_function(n, level, x, y), rel=1e-10)
+
+
+def _load_oracle():
+    """bench/oracle.py, loaded by path: the benchmark's independent mpmath
+    evaluation of the determinantal formula."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_points(count=100):
+    """Deterministic draws over m = 1..4, n = m+1..m+4, x log-spread over
+    [0.05, 500], the largest eigenvalue log-spread over [0.2, 500] and the
+    others below it in the distinct, near, repeat and zero patterns, scaled
+    to sum lam <= 700."""
+    import random
+
+    patterns = ("distinct", "near", "repeat", "zero")
+    rng = random.Random(20160405)
+    out = []
+    for j in range(count):
+        m = 1 + j % 4
+        pattern = patterns[j // 4 % 4] if m > 1 else patterns[j // 4 % 2 * 3]
+        n = m + 1 + rng.randrange(4)
+        x = 0.05 * 10_000 ** ((j + rng.random()) / count)
+        top = 0.2 * 2500 ** rng.random()
+        lams = [top] + sorted((rng.uniform(0.0, top) for _ in range(m - 1)), reverse=True)
+        if pattern == "near":
+            i = rng.randrange(m - 1)
+            lams[i + 1] = lams[i] * (1 - 1e-6)
+        elif pattern == "repeat":
+            i = rng.randrange(m - 1)
+            lams[i + 1] = lams[i]
+        elif pattern == "zero":
+            lams[-1] = 0.0
+        scale = 700.0 / max(sum(lams), 700.0)
+        out.append((n, m, tuple(v * scale for v in lams), x))
+    return out
+
+
+class TestQuadratureReference:
+    """The quadrature route against references from ``bench/oracle.py``; where
+    the oracle returns 0.0 at its own precision, the same code run at 400
+    digits."""
+
+    FIXED = {
+        (4, 2, (100.0, 50.0), 120.0): (0.8222874783659468, 0.017279376390519807),
+        (4, 2, (200.0, 100.0), 230.0): (0.8734430033733666, 0.00982331266597781),
+        (5, 3, (300.0, 200.0, 100.0), 330.0): (0.7737953187013684, 0.012022233005699724),
+        (6, 4, (100.0, 80.0, 60.0, 40.0), 130.0): (0.7764714239882334, 0.02142455411248838),
+        (3, 1, (400.0,), 440.0): (0.9022030513619019, 0.0058289451122984755),
+        (4, 2, (300.0, 200.0), 100.0): (4.278568528167739e-37, 5.181849269684301e-37),
+        (6, 2, (150.0, 100.0), 250.0): (0.9999977693839903, 4.873911401665323e-07),
+        (4, 2, (350.0, 0.0), 400.0): (0.9517405660026039, 0.003555153904162684),
+        (4, 2, (350.0, 1.0), 400.0): (0.9517207336000882, 0.003556359884787396),
+        # sum lam > 700 in the left tail: e^{-sum lam} underflows, the value does not
+        (3, 1, (720.0,), 100.0): (1.2373026368548286e-126, 2.1018979126372125e-126),
+        (4, 2, (500.0, 300.0), 150.0): (1.8758887288478203e-62, 2.406428738966745e-62),
+        # past the underflow of e^{-x}
+        (6, 4, (5.0, 4.0, 3.0, 2.0), 600.0): (1.0, 1.0422481732879561e-207),
+        (6, 4, (5.0, 4.0, 3.0, 2.0), 750.0): (1.0, 7.194240257510673e-267),
+        # condition number ~2e8: the decimal rows
+        (8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673, 136.70859285557685),
+         24.969317566358836): (1.5561579958827587e-147, 1.126654851095282e-146),
+        # draws of the sweep below where the oracle returns 0.0
+        (7, 3, (368.2254311046558, 324.1296823355408, 7.644886559803273), 98.64667996830956):
+            (2.0926006580945177e-75, 3.8536240631994775e-75),
+        (6, 4, (257.6309891358406, 230.13415472592118, 193.9429806356179, 18.291875502620332),
+         109.82725303496123): (2.835630951983344e-40, 4.177989034563638e-40),
+        (3, 2, (0.2882981640951274, 0.19242520148244024), 384.197857979311):
+            (1.0, 1.7433343012488007e-154),
+        (6, 3, (0.9362509408100801, 0.7181023254683334, 0.6483310680692009), 454.702870371803):
+            (1.0, 2.0168326211250606e-171),
+        (8, 4, (5.485264503912118, 5.388939899644329, 3.712932343318443, 0.8265358785363253),
+         473.78232483692364): (1.0, 2.3213286120800437e-154),
+    }
+
+    @staticmethod
+    def _check(n, m, lams, x, ref):
+        assert all(r != 0.0 for r in ref)
+        p = WishartParams(n, m, lams)
+        assert cdf(p, x, CFG) == pytest.approx(ref[0], rel=1e-8, abs=0)
+        assert pdf(p, x, CFG) == pytest.approx(ref[1], rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("point", list(FIXED), ids=lambda q: f"{q[:2]}-x{q[3]:.4g}")
+    def test_fixed_case(self, point):
+        self._check(*point, self.FIXED[point])
+
+    def test_columns_extend_a_short_tail_array(self, monkeypatch):
+        import wishart_roots.distribution as dist
+        from wishart_roots.special_fn import PoissonTails
+
+        p, x = WishartParams(5, 3, (30.0, 20.0, 10.0)), 40.0
+        want = cdf(p, x, CFG), pdf(p, x, CFG)
+        monkeypatch.setattr(dist, "_tails", lambda params, x: PoissonTails(x, 1))
+        assert (cdf(p, x, CFG), pdf(p, x, CFG)) == pytest.approx(want, rel=1e-13)
+
+    def test_ill_conditioned_rows_are_summed_in_decimals(self):
+        from wishart_roots.distribution import COND_LIMIT, _det_cond, _h_columns, divided_rows
+
+        p = WishartParams(8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673,
+                                 136.70859285557685))
+        rows = divided_rows(_h_columns(p, 24.969317566358836), p.lambdas)
+        assert _det_cond(rows)[1] > COND_LIMIT
+
+    def test_refusal_where_the_determinant_leaves_float_range(self):
+        # true values (0.00934465968112662, 0.0009455191644886697): sum lam = 1200
+        p = WishartParams(5, 3, (500.0, 400.0, 300.0))
+        for fn in (cdf, pdf, cdf_quadrature, pdf_quadrature):
+            with pytest.raises(NumericFailure):
+                fn(p, 450.0, CFG)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return _load_oracle()
+
+    @pytest.mark.parametrize("point", _sweep_points(), ids=lambda q: f"{q[:2]}-x{q[3]:.4g}")
+    def test_sweep(self, oracle, point):
+        ref = self.FIXED.get(point) or oracle.reference(*point)
+        self._check(*point, ref)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,13 @@ from scipy.integrate import quad
 
 from wishart_roots.special_fn import (
     ConvergenceError,
+    PoissonTails,
     bessel_i_check,
     hpg01,
     incomplete_gamma,
     marcum_q,
     pochhammer,
+    regularized_p,
 )
 
 
@@ -131,3 +134,42 @@ class TestIncompleteGamma:
         if err > 1e-13 * max(ref, 1e-12):
             return  # quadrature itself too loose on this draw
         assert incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-11)
+
+
+class TestPoissonTails:
+    @pytest.mark.parametrize("x", [0.05, 0.3, 3.0, 150.0, 500.0, 800.0])
+    def test_against_mpmath(self, x):
+        # x = 800 is past the underflow of e^{-x}: the terms start from the mode
+        values = PoissonTails(x, 2000).values
+        assert len(values) == 2001 and values[0] == pytest.approx(1.0, rel=1e-15)
+        with mpmath.workdps(30):
+            for a in range(1, 2001):
+                ref = mpmath.gammainc(a, 0, x, regularized=True)
+                if ref > mpmath.mpf("1e-290"):
+                    assert abs(values[a] - ref) <= 1e-13 * ref, a
+
+    @pytest.mark.parametrize("x", [0.05, 3.0, 150.0, 500.0, 800.0])
+    def test_matches_incomplete_gamma(self, x):
+        values = PoissonTails(x, 170).values
+        for a in range(1, 171):
+            assert values[a] == pytest.approx(incomplete_gamma(a, x) / math.gamma(a), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.3, 40.0, 800.0])
+    def test_read_past_top_rebuilds_as_from_the_start(self, x):
+        tails = PoissonTails(x, 30)
+        held = tails.values
+        tails.reach(100)  # extended in place, top doubled twice
+        assert tails.values is held and held == PoissonTails(x, 120).values
+        tails.reach(50)
+        assert tails.values is held and len(held) == 121
+
+    def test_decreasing_and_positive_past_the_underflow_of_exp(self):
+        values = PoissonTails(900.0, 1200).values
+        assert all(a > b > 0.0 for a, b in zip(values[800:], values[801:]))
+
+    def test_zero_abscissa(self):
+        assert PoissonTails(0.0, 3).values == [1.0, 0.0, 0.0, 0.0]
+
+    def test_regularized_p_is_incomplete_gamma_over_gamma(self):
+        for a, x in ((2.5, 1.0), (7.0, 9.0), (30.0, 12.0)):
+            assert regularized_p(a, x) * math.gamma(a) == incomplete_gamma(a, x)
