@@ -108,6 +108,16 @@ def _apply_config_defaults(argv: Sequence[str], ap: argparse.ArgumentParser):
     return args
 
 
+def _check_options(args) -> None:
+    """Refuse a --tol that is not a positive finite number and a negative
+    --order before any route runs."""
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be a positive finite number, got {tol}")
+    if args.order is not None and args.order < 0:
+        raise ValueError(f"--order must be >= 0, got {args.order}")
+
+
 def _cfg_from_args(args, method: str) -> EvalConfig:
     cfg = EvalConfig(method=method, hgm_rtol=min(args.tol, 1e-10))
     if args.order is not None:
@@ -168,7 +178,7 @@ def cmd_point(kind: str, args) -> int:
 
 def _grid(args) -> List[float]:
     """The evenly spaced abscissas of --x-min, --x-max and --points."""
-    if args.points < 2 or args.x_max <= args.x_min:
+    if args.points < 2 or not -math.inf < args.x_min < args.x_max < math.inf:
         raise ValueError("bad grid")
     return [args.x_min + i * (args.x_max - args.x_min) / (args.points - 1)
             for i in range(args.points)]
@@ -250,6 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_options(args)
         if args.command == "cdf":
             return cmd_point("cdf", args)
         if args.command == "pdf":

@@ -57,8 +57,8 @@ class WishartParams:
         lambdas = tuple(float(v) for v in lambdas)
         if len(lambdas) != m:
             raise ValueError("need exactly m noncentrality eigenvalues")
-        if any(v < 0 for v in lambdas):
-            raise ValueError("noncentrality eigenvalues must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in lambdas):
+            raise ValueError("noncentrality eigenvalues must be finite and >= 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "lambdas", tuple(sorted(lambdas, reverse=True)))
@@ -177,19 +177,14 @@ def divided_rows(columns: Sequence[Callable[[float], Iterator[float]]],
     return [[acc[i] / scale ** i for acc in sums] for i in range(m)]
 
 
-def _front_factor(params: WishartParams) -> float:
-    """(-1)^{m(m-1)/2} e^{-sum lam} / (n-m)!^m, the factor of det(divided_rows)."""
-    n, m = params.n, params.m
-    return (-1) ** (m * (m - 1) // 2) * math.exp(-sum(params.lambdas)) / math.factorial(n - m) ** m
-
-
 def _fronted(params: WishartParams, det: float, shift: float = 0.0) -> float:
-    """(-1)^{m(m-1)/2} e^{-sum lam - shift} det, the value of a determinant
-    over the columns H^{n-j}_N / (n-m)!, taken through logarithms when
-    e^{-sum lam - shift} would underflow, so a representable value is not
-    lost.  A determinant that is not finite raises ``NumericFailure``."""
+    """(-1)^{m(m-1)/2} e^{-sum lam - shift} det, the one front factor of the
+    quadrature, conjecture and hgm determinants (each already divided by
+    (n-m)!^m), taken through logarithms when e^{-sum lam - shift} would
+    underflow, so a representable value is not lost.  A determinant that is
+    not finite raises ``NumericFailure``."""
     if not math.isfinite(det):
-        raise NumericFailure("the determinant of the quadrature rows left float range")
+        raise NumericFailure("the determinant of the divided-difference rows left float range")
     m = params.m
     sign = (-1) ** (m * (m - 1) // 2)
     log_front = -sum(params.lambdas) - shift
@@ -602,7 +597,10 @@ def pdf_conjecture(params: WishartParams, x: float, cfg: EvalConfig) -> float:
     """psi_{n,m} = C(x) e^{-sum lam} / ((n-m)!^m V(lam))
     * det(hpg01(n-m+1; x lam_i); G_{n-m+j, j}(x, lam_i)), proved for m = 2, 3
     and conjectured beyond.  Each row carries one e^{-x} of C(x), which keeps
-    the entries in float range for x up to a few hundred."""
+    the entries in float range for x up to a few hundred; past ``PDF_SHIFT``
+    that e^{-x} loses digits to underflow, so x > PDF_SHIFT raises
+    ``NumericFailure``.  A determinant that leaves float range gives NaN,
+    which ``pdf`` refuses."""
     n, m = params.n, params.m
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -612,10 +610,14 @@ def pdf_conjecture(params: WishartParams, x: float, cfg: EvalConfig) -> float:
         raise ValueError("conjecture route implemented for m <= 4")
     if m == 4 and not cfg.experimental_m4:
         raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
+    if x > PDF_SHIFT:
+        raise NumericFailure(f"the conjecture route serves x <= {PDF_SHIFT:g}")
     columns = [functools.partial(_hpg01_series, n - m + 1, x)]
     columns += [functools.partial(g_series, n - m + j, j, x) for j in range(2, m + 1)]
-    rows = divided_rows(columns, params.lambdas)
-    return _front_factor(params) * _conjecture_power(n, m, x) * _det(rows)
+    det = _det(divided_rows(columns, params.lambdas))
+    if not math.isfinite(det):
+        return math.nan  # the dispatch refuses it, like any value that is not finite
+    return _fronted(params, det * _conjecture_power(n, m, x) / math.factorial(n - m) ** m)
 
 
 def pdf_m2_closed(params: WishartParams, x: float) -> float:
@@ -633,8 +635,11 @@ def pdf_m2_closed(params: WishartParams, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _route_value(kind: str, params: WishartParams, x: float, cfg: EvalConfig) -> float:
-    """The value of the route ``cfg.method`` for a "cdf" or "pdf"; a value
-    that is not a finite number raises ``NumericFailure``."""
+    """The value of the route ``cfg.method`` for a "cdf" or "pdf" at a finite
+    x (``ValueError`` otherwise); a value that is not a finite number raises
+    ``NumericFailure``."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     routes = {"quadrature": (cdf_quadrature, pdf_quadrature), "series": (cdf_series, pdf_series),
               "conjecture": (None, pdf_conjecture)}
     if cfg.method == "hgm":

@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _front_factor,
+from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _fronted,
                            _h_series, _hpg01_series, _tails, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
@@ -135,6 +135,8 @@ def hgm_integrate(
     """Adaptive embedded Runge-Kutta 5(4) along x at fixed lam, with a
     relative tolerance only."""
     cfg = cfg or EvalConfig()
+    if not 0 < cfg.hgm_rtol < math.inf:  # solve_ivp never ends at a NaN tolerance
+        raise ValueError(f"hgm_rtol must be a positive finite number, got {cfg.hgm_rtol}")
     if x_target == start.x:
         return HgmState(start.x, start.values.copy())
     lam = sorted(float(v) for v in lambdas)  # the prefixes ascend
@@ -276,6 +278,8 @@ def trajectory(
         raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
     if what not in ("R", "F"):
         raise ValueError("what must be 'R' or 'F'")
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("abscissas must be finite")
     xs = sorted(xs)
     out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
     xs = xs[len(out):]
@@ -286,7 +290,7 @@ def trajectory(
     lam = params.lambdas
     mu = lam[::-1]
     vandermonde = math.prod(b - a for a, b in itertools.combinations(lam, 2))
-    front = _front_factor(params)
+    scale = math.factorial(n - m) ** m  # the 1/(n-m)! of each quadrature row
     # Newton form f(mu_i) = sum_k f[mu_1..mu_k] prod_{t<k} (mu_i - mu_t): for
     # ascending mu no term is negative (k > i gives 0); rows in the order of lam
     newton = np.array([[math.prod(mu[i] - mu[t] for t in range(k)) for k in range(m)]
@@ -301,11 +305,11 @@ def trajectory(
         rows = w[:, :m].tolist()
         if what == "F":
             det = _det(rows)
-            dist = min(max(front * det, 0.0), 1.0)
+            dist = min(max(_fronted(params, det / scale), 0.0), 1.0)
         else:
             g = (math.exp(-x) * w[:, m]).tolist()
             det = _det_dx(n, x, [row + [gi] for row, gi in zip(rows, g)])
-            dist = front * det
+            dist = _fronted(params, det / scale)
         s = math.exp(N * math.log(x) - x)
         basis = newton @ w[:, m - 1:] * (1.0, s, s)  # H^{n-m}_N is b0 = H^{N-1}_N
         out.append((x, functools.reduce(np.kron, basis), vandermonde * det, dist))

@@ -292,6 +292,32 @@ class TestNumericFailureExit:
         assert "numeric failure" in err and "nan" in err
 
 
+_POINT = ["--n", "4", "--m", "2", "--lambda", "2,1"]
+_GRID = ["--x-min", "1", "--x-max", "3", "--points", "3"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["pdf", *_POINT, "--x", "3", "--tol", "nan", "--method", "hgm"],
+        ["table", *_POINT, *_GRID, "--tol", "nan", "--method", "hgm"],
+        ["pdf", *_POINT, "--x", "3", "--tol", "-1", "--method", "hgm"],
+        ["pdf", *_POINT, "--x", "3", "--tol", "inf"],
+        ["cdf", *_POINT, "--x", "3", "--order", "-3", "--method", "series"],
+        ["pdf", "--n", "4", "--m", "2", "--lambda", "inf,1", "--x", "3"],
+        ["pdf", "--n", "4", "--m", "2", "--lambda", "nan,1", "--x", "3"],
+        ["pdf", *_POINT, "--x", "inf"],
+        ["pdf", *_POINT, "--x", "nan"],
+        ["cdf", *_POINT, "--x", "inf", "--method", "hgm"],
+        ["table", *_POINT, "--x-min", "0", "--x-max", "inf", "--points", "3"],
+        ["hgm", *_POINT, "--x-min", "nan", "--x-max", "3", "--points", "3"],
+        ["mc", "--n", "4", "--m", "2", "--lambda", "nan,1", "--samples", "100"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestConfigFile:
     def test_defaults_from_json(self, capsys, tmp_path):
         cfgfile = tmp_path / "defaults.json"

@@ -48,6 +48,21 @@ class TestParams:
         with pytest.raises(ValueError):
             WishartParams(3, 2, (1.0, -0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_input_is_refused(self, bad):
+        from wishart_roots.hgm import trajectory
+
+        with pytest.raises(ValueError):
+            WishartParams(4, 2, (bad, 1.0))
+        p = WishartParams(4, 2, (2.0, 1.0))
+        for method in ("quadrature", "series", "conjecture", "hgm"):
+            with pytest.raises(ValueError):
+                pdf(p, bad, EvalConfig(method=method))
+        with pytest.raises(ValueError):
+            trajectory(p, [1.0, bad])
+        with pytest.raises(ValueError):
+            pdf(p, 3.0, EvalConfig(method="hgm", hgm_rtol=bad))
+
 
 class TestCdf:
     def test_zero_at_origin(self):
@@ -336,6 +351,32 @@ class TestConjecture:
         assert math.isnan(pdf_conjecture(p, 480.0, CFG))
         with pytest.raises(NumericFailure):
             pdf(p, 480.0, EvalConfig(method="conjecture"))
+
+    # references from bench/oracle.py, the last two at 400 digits
+    FAR_TAIL = {
+        (4, 2, (400.0, 360.0), 600.0): 1.8999659911626109e-10,
+        (4, 2, (380.0, 370.0), 600.0): 5.887749990466211e-12,
+        (5, 3, (300.0, 250.0, 200.0), 800.0): 1.3783625367843675e-52,
+        (4, 2, (2.0, 1.0), 740.0): 1.7825254186306208e-285,
+        (6, 4, (5.0, 4.0, 3.0, 2.0), 750.0): 7.194240257510673e-267,
+    }
+
+    @pytest.mark.parametrize("point", list(FAR_TAIL), ids=lambda q: f"{q[:3]}-x{q[3]:g}")
+    def test_far_tail_is_accurate_or_refused(self, point):
+        n, m, lams, x = point
+        cfg = EvalConfig(method="conjecture", experimental_m4=True)
+        try:
+            got = pdf(WishartParams(n, m, lams), x, cfg)
+        except NumericFailure:
+            return
+        assert got == pytest.approx(self.FAR_TAIL[point], rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("n,m,lams,x", [(4, 2, (500.0, 300.0), 150.0), (3, 1, (720.0,), 100.0),
+                                            (4, 2, (350.0, 0.0), 400.0)])
+    def test_large_noncentrality_agrees_with_quadrature(self, n, m, lams, x):
+        # e^{-sum lam} underflows in the first two, the value does not
+        p = WishartParams(n, m, lams)
+        assert pdf_conjecture(p, x, CFG) == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-12)
 
     def test_cdf_has_no_conjecture_route(self):
         with pytest.raises(ValueError):

@@ -6,22 +6,19 @@ import pytest
 from wishart_roots import mc_validator
 from wishart_roots.distribution import EvalConfig, WishartParams, cdf_quadrature
 from wishart_roots.mc_validator import (
-    EigenConvergenceError,
     McConfig,
     compare_cdf,
     empirical_cdf,
     hermitian_eig_max,
     hermitian_eigvals,
     histogram_csv,
-    jacobi_eigvals,
     sample_largest_eig,
 )
 
 
 def scalar_jacobi_diagonal(a, tol=1e-13, max_sweeps=30):
-    """Reference: the one-matrix-at-a-time cyclic Jacobi sweep that
-    ``jacobi_eigvals`` runs over a batch (same rotations, pair order, skip
-    and stop rule)."""
+    """Reference: a one-matrix-at-a-time cyclic complex Jacobi sweep,
+    independent of the LAPACK eigensolver the sampler calls."""
     n = len(a)
     a = [row[:] for row in a]
     if n == 1:
@@ -56,7 +53,7 @@ def scalar_jacobi_diagonal(a, tol=1e-13, max_sweeps=30):
                     aqk = a[q][k]
                     a[p][k] = c * apk - s * (phase * aqk)
                     a[q][k] = s * apk + c * (phase * aqk)
-    raise EigenConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    raise ArithmeticError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
 def scalar_sample_largest_eig(params, cfg):
@@ -154,38 +151,13 @@ class TestJacobi:
 
 
 class TestJacobiBatch:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_against_lapack(self, m):
-        stack = mixed_batch(m, np.random.default_rng(30 + m))
-        got = jacobi_eigvals(stack)
-        ref = np.linalg.eigvalsh(stack)
-        scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1.0)
-        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_batch_equals_batch_of_one(self, m):
-        stack = mixed_batch(m, np.random.default_rng(40 + m))
-        got = jacobi_eigvals(stack)
-        for b in range(len(stack)):
-            assert np.array_equal(got[b], jacobi_eigvals(stack[b:b + 1])[0])
-            assert hermitian_eigvals([list(r) for r in stack[b]]) == list(got[b])
-
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_equals_scalar_sweep(self, m):
         stack = mixed_batch(m, np.random.default_rng(50 + m))
-        got = jacobi_eigvals(stack)
         for b in range(len(stack)):
+            got = hermitian_eigvals([list(r) for r in stack[b]])
             ref = sorted(scalar_jacobi_diagonal([list(r) for r in stack[b]]))
-            assert np.allclose(got[b], ref, rtol=1e-13, atol=1e-13 * max(1.0, max(map(abs, ref))))
-
-    def test_max_sweeps_exhausted(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        H = (M + M.conj().T) / 2
-        with pytest.raises(EigenConvergenceError):
-            jacobi_eigvals(H[None], max_sweeps=1)
-        with pytest.raises(EigenConvergenceError):
-            hermitian_eig_max([list(r) for r in H], max_sweeps=1)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * max(1.0, max(map(abs, ref))))
 
 
 class TestSampler:
