@@ -127,24 +127,24 @@ def _cfg_from_args(args, method: str) -> EvalConfig:
     return cfg
 
 
-def _eval_one(kind: str, params: WishartParams, x: float, args, method: str) -> float:
+def _eval_one(kind: str, params: WishartParams, x, args, method: str):
     cfg = _cfg_from_args(args, method)
     fn = distribution.cdf if kind == "cdf" else distribution.pdf
     return fn(params, x, cfg)
 
 
 def _err_estimate(kind: str, params: WishartParams, x: float, args, method: str, value: float) -> float:
-    """Crude error estimate: distance to an independent route, or the
+    """Crude error estimate: the distance to a second route, quadrature for
+    every other route and conjecture for a quadrature density, or the
     configured tolerance scale when no second route serves these inputs
     (it raises ValueError or ArithmeticError for them)."""
-    other = "series" if method != "series" and params.m <= 2 else "quadrature"
-    if other == method:
-        return abs(value) * args.tol
-    try:
-        ref = _eval_one(kind, params, x, args, other)
-    except (ValueError, ArithmeticError):
-        return abs(value) * args.tol
-    return abs(value - ref)
+    other = "quadrature" if method != "quadrature" else "conjecture" if kind == "pdf" else None
+    if other is not None:
+        try:
+            return abs(value - _eval_one(kind, params, x, args, other))
+        except (ValueError, ArithmeticError):
+            pass
+    return abs(value) * args.tol
 
 
 def _routes(kind: str, method: str) -> List[str]:
@@ -188,15 +188,7 @@ def cmd_table(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     xs = _grid(args)
     methods = _routes(args.what, args.method)
-    columns = []
-    for mth in methods:
-        if mth == "hgm":
-            # one march along the grid instead of a restart from x0 per point
-            rows = hgm.trajectory(params, xs, _cfg_from_args(args, mth),
-                                  what="R" if args.what == "pdf" else "F")
-            columns.append([row[3] for row in rows])
-        else:
-            columns.append([_eval_one(args.what, params, x, args, mth) for x in xs])
+    columns = [_eval_one(args.what, params, xs, args, mth) for mth in methods]
     print("x," + ",".join(f"{args.what}_{mth}" for mth in methods))
     for x, vals in zip(xs, zip(*columns)):
         print(_fmt(x) + "," + ",".join(_fmt(v) for v in vals))

@@ -18,10 +18,13 @@ hgm        : Pfaffian ODE integration (in wishart_roots.hgm; dispatched
 Every determinant over the eigenvalues is the determinant of divided
 differences f_j[lam_1..lam_i] (``divided_rows``), summed as power series with
 nonnegative weights, so nothing is divided by the Vandermonde and repeated,
-clustered and zero eigenvalues need no special case and no threshold.  The
-quadrature route sums those rows again in decimals where their determinant
-is ill conditioned (``_rows_det``), and raises ``NumericFailure`` where it
-leaves float range (sum lam >~ 700 outside the far tails).
+clustered and zero eigenvalues need no special case and no threshold.  A
+route takes a float x or a sequence of abscissas, one array program: weights
+built once from lam, the rows of every abscissa from one matrix product, and
+batched determinants and condition numbers.  The quadrature route sums the
+rows of an ill-conditioned abscissa again in decimals (``_rows_det``) and
+raises ``NumericFailure`` where a determinant leaves float range (sum lam >~
+700 outside the far tails).
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ import decimal
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from .h_integrals import HIndex, h_eval
 from .series_engine import LambdaSeries, build_psi_series, cdf_det_expansion, vandermonde_quotient
@@ -93,88 +99,92 @@ def _det(mat: List[List[float]]) -> float:
     return det
 
 
-def _det_cond(mat: List[List[float]]) -> Tuple[float, float]:
-    """Determinant and Skeel condition number sum_ij |a_ij (A^-1)_ji| of a
-    small matrix, by Gauss-Jordan elimination with partial pivoting (which
-    yields A^-1 alongside the pivots that ``_det`` multiplies).  Relative
-    errors e in the entries move the determinant by up to about e times the
-    condition number (inf for a singular matrix)."""
-    n = len(mat)
-    a = [row + [0.0] * n for row in mat]
-    for i, row in enumerate(a):
-        row[n + i] = 1.0
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        prow = a[piv]
-        p = prow[c]
-        if p == 0.0:
-            return 0.0, math.inf
-        if piv != c:
-            a[piv] = a[c]
-            det = -det
-        det *= p
-        prow = [v / p for v in prow]
-        a[c] = prow
-        for r, row in enumerate(a):
-            if r != c:
-                f = row[c]
-                a[r] = [u - f * v for u, v in zip(row, prow)]
-    return det, sum(abs(v * row[n + i]) for i, mrow in enumerate(mat) for v, row in zip(mrow, a))
+def _det_cond(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Determinants and Skeel condition numbers sum_ij |a_ij (A^-1)_ji| (inf
+    where singular) of a stack of small matrices: relative errors e in the
+    entries move a determinant by up to about e times its condition number."""
+    det = np.linalg.det(a)
+    regular = np.isfinite(det) & (det != 0.0)
+    inv = np.linalg.inv(np.where(regular[:, None, None], a, np.eye(a.shape[-1])))
+    return det, np.where(regular, np.abs(a * inv.swapaxes(-1, -2)).sum(axis=(-1, -2)), np.inf)
+
+
+def _gridded(route: Callable) -> Callable:
+    """A route written for a list of abscissas, called with one float x
+    (giving a float) or a sequence of them (giving a list, in their order)."""
+
+    @functools.wraps(route)
+    def call(p, x, *cfg):
+        return route(p, [x], *cfg)[0] if isinstance(x, numbers.Real) else route(p, list(x), *cfg)
+    return call
+
+
+def _on_positive(xs: List[float], at_zero: float, values: Callable[[np.ndarray], list]) -> List[float]:
+    """``values`` of the nonzero abscissas as one array, ``at_zero`` at x = 0;
+    an abscissa below 0 raises ``ValueError``."""
+    if any(x < 0 for x in xs):
+        raise ValueError("x must be >= 0")
+    rest = np.array([x for x in xs if x != 0.0], dtype=float)
+    if not rest.size:
+        return [at_zero] * len(xs)
+    with np.errstate(all="ignore"):  # blocks of 512 bound the arrays; the values judge overflow
+        out = iter([v for i in range(0, rest.size, 512) for v in values(rest[i:i + 512])])
+    return [at_zero if x == 0.0 else next(out) for x in xs]
 
 
 # ---------------------------------------------------------------------------
 # divided-difference determinants
 # ---------------------------------------------------------------------------
 
-def divided_rows(columns: Sequence[Callable[[float], Iterator[float]]],
-                 lambdas: Sequence[float], num: Callable = lambda v: v) -> List[List[float]]:
-    """Divided differences f_c[lam_1..lam_i] (row i = 1..m, lam ascending) of
-    power series f_c(y) = sum_l c_l y^l, one column per series: row i is
-    sum_l c_l h_{l-i+1}(lam_1..lam_i), h_r the complete homogeneous polynomials.
+def _scale(lambdas: Sequence) -> float:
+    """s = max(lam, 1): the series in y are summed in powers of y/s."""
+    return max(max(lambdas), 1)
 
-    det(rows) is symmetric in lam; for descending lam
-    det(f_c(lam_i)) = (-1)^{m(m-1)/2} prod_{a<b} (lam_a - lam_b) det(rows).
-    Ascending, row i is dominated by lam_i, so fast-growing series lose no
-    digits in the determinant.  Each column is called with s = max(lam, 1) and
-    yields c_l s^l; h runs on lam/s and row i is divided by s^{i-1}, so every
-    term stays in float range.  A column is summed until it ends or until, at
-    two consecutive l, each row's term is below 1e-17 of its sum of |terms|.
-    ``num`` converts the eigenvalues and the constants to the columns' number
-    type (``Decimal`` for columns that yield Decimals); by default they are
-    used as they are.
-    """
-    m = len(lambdas)
-    s = max(max(lambdas), 1)
-    scale = num(s)
-    mu = [num(v) / scale for v in sorted(lambdas)]
+
+def _terms(params: WishartParams, x: float) -> int:
+    """Terms of the lam-series at abscissas up to x: their coefficients peak
+    near l = q = sqrt(x s) (at l = s < q when s < x) and are negligible some
+    8 sqrt(q) beyond it."""
+    q = math.sqrt(x * _scale(params.lambdas))
+    return math.ceil(q + 8.0 * math.sqrt(q) + 12.0)
+
+
+def _h_weights(lambdas: Sequence, terms: int, num: Callable = float) -> np.ndarray:
+    """w[l, i] = h_{l-i}(mu_1..mu_{i+1}) / s^i (zero for l < i), l < ``terms``,
+    mu = lam / s ascending, h the complete homogeneous polynomials, in the
+    number type ``num``, one eigenvalue at a time:
+    h_r(mu_1..mu_i) = h_r(mu_1..mu_{i-1}) + mu_i h_{r-1}(mu_1..mu_i)."""
+    s = num(_scale(lambdas))
+    w = np.zeros((terms, len(lambdas)), float if num is float else object)
+    h = [num(1)] + [num(0)] * (terms - 1)
+    for i, lam in enumerate(sorted(lambdas)):
+        mu = num(lam) / s
+        h = list(itertools.accumulate(h, lambda prev, v: v + mu * prev))
+        w[i:, i] = h[:terms - i]
+    return w / np.array([s ** i for i in range(len(lambdas))], w.dtype)
+
+
+def divided_rows(coefs: Callable[[int], np.ndarray], lambdas: Sequence, terms: int,
+                 num: Callable = float) -> np.ndarray:
+    """Divided differences f_c[lam_1..lam_i] (row i = 1..m, lam ascending) of
+    power series f_c(y) = sum_l c_l y^l, an array (..., m, columns), from
+    ``coefs(L)``, the c_l s^l (l < L) as an array (..., columns, L) of the
+    number type ``num``: row i is sum_l c_l h_{l-i+1}(lam_1..lam_i), one
+    product with ``_h_weights``.  det(rows) is symmetric in lam; for
+    descending lam det(f_c(lam_i)) = (-1)^{m(m-1)/2} prod_{a<b} (lam_a - lam_b)
+    det(rows).  Ascending, row i is dominated by lam_i, so fast-growing series
+    lose no digits in the determinant.  The sum runs over ``terms`` terms,
+    doubled until the last two in every row are at most 1e-17 of its sum of
+    |terms|; past ``MAX_TERMS`` it raises ``NumericFailure``."""
     tiny = num(1e-17)
-    hs = [[1] * m]  # hs[r][i] = h_r(mu_1..mu_{i+1})
-    diagonals = [[1]]  # diagonals[l][i] = hs[l-i][i], the weights of c_l in rows i < min(l+1, m)
-    sums = []
-    for column in columns:
-        acc = [0] * m
-        mags = [num(0)] * m
-        quiet = 0
-        for l, coef in enumerate(column(s)):
-            if l == len(diagonals):
-                if l == MAX_TERMS:
-                    raise NumericFailure("divided-difference series did not converge")
-                # h_r(mu_1..mu_i) = sum_{t<=i} mu_t h_{r-1}(mu_1..mu_t)
-                hs.append(list(itertools.accumulate(u * h for u, h in zip(mu, hs[-1]))))
-                diagonals.append([hs[l - i][i] for i in range(min(l + 1, m))])
-            small = l >= m - 1
-            for i, h in enumerate(diagonals[l]):
-                t = coef * h
-                acc[i] += t
-                t = abs(t)
-                mags[i] += t
-                small = small and t <= tiny * mags[i]
-            quiet = quiet + 1 if small else 0
-            if quiet == 2:
-                break
-        sums.append(acc)
-    return [[acc[i] / scale ** i for acc in sums] for i in range(m)]
+    while terms <= MAX_TERMS:
+        c = coefs(terms)
+        w = _h_weights(lambdas, terms, num)
+        a = abs(c)
+        if not (a[..., -2:, None] * w[-2:] > tiny * (a @ w)[..., None, :]).any():
+            return (c @ w).swapaxes(-1, -2)
+        terms *= 2
+    raise NumericFailure("divided-difference series did not converge")
 
 
 def _fronted(params: WishartParams, det: float, shift: float = 0.0) -> float:
@@ -193,11 +203,14 @@ def _fronted(params: WishartParams, det: float, shift: float = 0.0) -> float:
     return sign * math.copysign(math.exp(math.log(abs(det)) + log_front), det)
 
 
-def _border(n: int, x: float, m: int, r: int = 0) -> List[float]:
-    """x^{n-j} / r! (j = 1..m) and 0: bordering rows that end in the divided
-    differences of e^{-x} hpg01(N; x y) with this row gives minus the
-    x-derivative of the determinant of the H^{n-j}_N / r! rows."""
-    return [x ** (n - j) / math.factorial(r) for j in range(1, m + 1)] + [0.0]
+def _border(n: int, x, m: int, r: int = 0) -> np.ndarray:
+    """x^{n-j} / r! (j = 1..m) and 0 on the last axis (x a float or an array):
+    bordering rows that end in the divided differences of e^{-x} hpg01(N; x y)
+    with this row gives minus the x-derivative of the determinant of the
+    H^{n-j}_N / r! rows."""
+    out = np.zeros(np.shape(x) + (m + 1,))
+    out[..., :m] = np.power.outer(x, np.arange(n - 1, n - m - 1, -1.0)) / math.factorial(r)
+    return out
 
 
 def _det_dx(n: int, x: float, rows: List[List[float]]) -> float:
@@ -205,7 +218,7 @@ def _det_dx(n: int, x: float, rows: List[List[float]]) -> float:
     divided difference of e^{-x} hpg01(N; x y), which times x^{n-j} is
     d/dx H^{n-j}_N(x, y): the sum of the determinants with one row
     differentiated is minus the bordered one."""
-    return -_det(rows + [_border(n, x, len(rows))])
+    return -_det(rows + [_border(n, x, len(rows)).tolist()])
 
 
 # a determinant over float rows whose Skeel condition number exceeds COND_LIMIT
@@ -216,52 +229,61 @@ COND_LIMIT = 1e6
 DECIMAL_DIGITS = 40
 
 
-def _rows_det(columns: Sequence[Callable[[float], Iterator[float]]], lambdas: Sequence[float],
-              extra: Sequence[List[float]] = ()) -> float:
-    """det(divided_rows(columns, lambdas) + extra), within about 1e-10 relative
-    of the determinant of the series' divided differences."""
-    rows = divided_rows(columns, lambdas) + list(extra)
+_decimals = np.frompyfunc(Decimal, 1, 1)  # each float exactly, into an object array
+
+
+def _rows_det(coefs: Callable[[int], np.ndarray], lambdas: Sequence[float], terms: int,
+              border: np.ndarray | None = None) -> np.ndarray:
+    """det(divided_rows(coefs, lambdas, terms) + border rows) per abscissa,
+    within about 1e-10 relative of that of the series' divided differences:
+    an ill-conditioned abscissa is summed again in decimals, alone."""
+    rows = divided_rows(coefs, lambdas, terms)
+    if border is not None:
+        rows = np.concatenate([rows, border], axis=-2)
     det, cond = _det_cond(rows)
-    if cond <= COND_LIMIT or not math.isfinite(det):
-        return det
-    with decimal.localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        decimal_columns = [lambda s, column=column: map(Decimal, column(s)) for column in columns]
-        rows = divided_rows(decimal_columns, lambdas, Decimal)
-        return float(_det(rows + [[Decimal(v) for v in row] for row in extra]))
+    redo = np.flatnonzero((cond > COND_LIMIT) & np.isfinite(det))
+    if redo.size:
+        with decimal.localcontext() as ctx:
+            ctx.prec = DECIMAL_DIGITS
+            rows = divided_rows(lambda L: _decimals(coefs(L)[redo]), lambdas, terms, Decimal)
+            if border is not None:
+                rows = np.concatenate([rows, _decimals(border[redo])], axis=-2)
+            det[redo] = [float(_det(r.tolist())) for r in rows]
+    return det
 
 
-def _tails(params: WishartParams, x: float) -> PoissonTails:
-    """One Poisson-tail array at x for all H columns, with room for the terms
-    their series usually need (a longer read extends it)."""
-    s = max(max(params.lambdas), 1.0)
-    return PoissonTails(x, params.n + int(2.0 * math.sqrt(x * s) + 2.0 * s) + 20)
+def _tails(params: WishartParams, xs: np.ndarray) -> List[PoissonTails]:
+    """One Poisson-tail array per abscissa for all H columns, with room for
+    the terms of the grid (a longer read extends it)."""
+    top = params.n + _terms(params, max(xs))
+    return [PoissonTails(x, top) for x in xs.tolist()]
 
 
-def _h_series(k: int, N: int, tails: PoissonTails, s: float, r: int = 0) -> Iterator[float]:
-    """Coefficients of H^k_N(x, y) / r! = sum_l gamma(k+l+1, x) y^l / ((N)_l l! r!),
-    times s^l, at the x of ``tails`` (r <= k): gamma(k+l+1, x) = (k+l)! P(k+l+1, x),
-    so coefficient l is P(k+l+1, x) (k!/r!) (k+1)_l s^l / ((N)_l l!), with the
-    ratio (k+l+1) s / ((N+l)(l+1)) carried from term to term and Gamma never
-    formed."""
-    t = float(math.factorial(k) // math.factorial(r))
-    l = 0
-    while True:
-        for p in tails.values[k + l + 1:]:
-            yield p * t
-            t *= (k + l + 1) * s / ((N + l) * (l + 1))
-            l += 1
-        tails.reach(k + l + 1)
+def _h_coefs(params: WishartParams, tails: List[PoissonTails], terms: int, r: int = 0):
+    """Coefficients of H^{n-j}_N(x, y) / r! (j = 1..m, N = n-m+1, r <= n-m) at
+    the abscissas of ``tails``, times s^l, an array (x, j, l): in
+    H^k_N(x, y) = sum_l gamma(k+l+1, x) y^l / ((N)_l l!), gamma(k+l+1, x) is
+    (k+l)! P(k+l+1, x), so coefficient l is P(k+l+1, x) (k!/r!) (k+1)_l s^l / ((N)_l l!)."""
+    n, m = params.n, params.m
+    for t in tails:
+        t.reach(n + terms - 1)
+    k = n - np.arange(1, m + 1)[:, None]
+    l = np.arange(1, terms)
+    ratios = np.empty((m, terms))
+    ratios[:, 0] = [math.factorial(j) // math.factorial(r) for j in k[:, 0]]
+    ratios[:, 1:] = (k + l) / ((n - m + l) * l) * float(_scale(params.lambdas))
+    p = np.array([t.values[:n + terms] for t in tails])
+    return p[:, k + 1 + np.arange(terms)] * ratios.cumprod(axis=1)
 
 
-def _hpg01_series(nu: int, x: float, s: float, scale: float | None = None) -> Iterator[float]:
-    """Coefficients of c hpg01(nu; x y) = c sum_l (x y)^l / ((nu)_l l!), times s^l,
-    with c = ``scale``, by default e^{-x}."""
-    t = math.exp(-x) if scale is None else scale
-    for l in itertools.count():
-        if l:
-            t *= x * s / ((nu + l - 1) * l)
-        yield t
+def _hpg01_coefs(nu: int, x: np.ndarray, s: float, terms: int, scale) -> np.ndarray:
+    """Coefficients of c hpg01(nu; x y) = c sum_l (x y)^l / ((nu)_l l!), times
+    s^l, an array (x, l), with c = ``scale`` (a number or one per x)."""
+    l = np.arange(1, terms)
+    ratios = np.empty((len(x), terms))
+    ratios[:, 0] = scale
+    ratios[:, 1:] = x[:, None] * s / ((nu - 1 + l) * l)
+    return ratios.cumprod(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,44 +296,49 @@ def _hpg01_series(nu: int, x: float, s: float, scale: float | None = None) -> It
 PDF_SHIFT = 700.0
 
 
-def _h_columns(params: WishartParams, x: float) -> list:
-    """The columns H^{n-j}_N(x, y) / (n-m)!, j = 1..m, over one shared
-    ``PoissonTails`` array at x (the factorials of the front factor go into
-    the columns, which keeps the determinant in range a little longer)."""
-    n, m = params.n, params.m
-    tails = _tails(params, x)
-    return [functools.partial(_h_series, n - j, n - m + 1, tails, r=n - m) for j in range(1, m + 1)]
+def _density_at_zero(params: WishartParams) -> float:
+    return math.exp(-sum(params.lambdas)) if params.n == params.m == 1 else 0.0
 
 
-def cdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+@_gridded
+def cdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """(-1)^{m(m-1)/2} e^{-sum lam} / (n-m)!^m det(H^{n-j}_N[lam_1..lam_i]),
-    the entries summed as power series in lam (``divided_rows``).  The rows'
-    determinant leaves float range once sum lam >~ 700 (outside the far
-    tails); there it raises ``NumericFailure``."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    val = _fronted(params, _rows_det(_h_columns(params, x), params.lambdas))
-    return min(max(val, 0.0), 1.0)
+    the entries summed as power series in lam (``divided_rows``) over the
+    whole grid at once.  The rows' determinant leaves float range once
+    sum lam >~ 700 (outside the far tails); there it raises
+    ``NumericFailure``."""
+    n, m = params.n, params.m
+
+    def values(x):
+        tails = _tails(params, x)
+        coefs = functools.partial(_h_coefs, params, tails, r=n - m)
+        det = _rows_det(coefs, params.lambdas, _terms(params, x.max()))
+        return [min(max(_fronted(params, d), 0.0), 1.0) for d in det.tolist()]
+
+    return _on_positive(xs, 0.0, values)
 
 
-def pdf_quadrature(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+@_gridded
+def pdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """The x-derivative of ``cdf_quadrature``'s determinant, one bordered
     determinant over the same rows plus the divided differences of
     e^{-x} hpg01(N; x lam) (``_det_dx``).  It raises ``NumericFailure`` where
     that determinant leaves float range, once sum lam >~ 700 (outside the far
     tails)."""
     n, m = params.n, params.m
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0 if not (n == m == 1) else math.exp(-sum(params.lambdas))
-    shift = max(x - PDF_SHIFT, 0.0)
-    columns = _h_columns(params, x)
-    columns.append(functools.partial(_hpg01_series, n - m + 1, x, scale=math.exp(shift - x)))
-    det = -_rows_det(columns, params.lambdas, [_border(n, x, m, n - m)])
-    return _fronted(params, det, shift)
+
+    def values(x):
+        shift = np.maximum(x - PDF_SHIFT, 0.0)
+        tails, s = _tails(params, x), float(_scale(params.lambdas))
+
+        def coefs(L):
+            g = _hpg01_coefs(n - m + 1, x, s, L, np.exp(shift - x))
+            return np.concatenate([_h_coefs(params, tails, L, n - m), g[:, None]], axis=1)
+
+        det = _rows_det(coefs, params.lambdas, _terms(params, x.max()), _border(n, x, m, n - m)[:, None])
+        return [_fronted(params, -d, h) for d, h in zip(det.tolist(), shift.tolist())]
+
+    return _on_positive(xs, _density_at_zero(params), values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +356,21 @@ def _cdf_sym_series_cached(n: int, m: int, order: int) -> LambdaSeries:
     return vandermonde_quotient(cdf_det_expansion(n, m, order + m), n, m, order)
 
 
-def cdf_series(params: WishartParams, x: float, cfg: EvalConfig) -> float:
-    if x < 0:
+@_gridded
+def cdf_series(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
+    if any(x < 0 for x in xs):
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
     s = _cdf_sym_series_cached(params.n, params.m, cfg.series_order)
-    val = s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas))
-    return min(max(val, 0.0), 1.0)
+    return [min(max(s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas)), 0.0), 1.0)
+            if x != 0.0 else 0.0 for x in xs]
 
 
-def pdf_series(params: WishartParams, x: float, cfg: EvalConfig) -> float:
-    if x < 0:
+@_gridded
+def pdf_series(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
+    if any(x < 0 for x in xs):
         raise ValueError("x must be >= 0")
     s = _psi_series_cached(params.n, params.m, cfg.series_order)
-    return s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas))
+    return [s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas)) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -535,51 +562,37 @@ def p_residual(M: int, x: float, y: float, f: Jet) -> float:
 # conjecture route
 # ---------------------------------------------------------------------------
 
-def g_series(n: int, m_level: int, x: float, s: float) -> Iterator[float]:
-    """Coefficients g_l s^l of e^{-x} G_{n, m_level}(x, y) = sum_l g_l y^l.
+def g_series(n: int, m_level: int, x: np.ndarray, s: float, terms: int) -> np.ndarray:
+    """Coefficients g_l s^l (l < ``terms``) of e^{-x} G_{n, m_level}(x, y) =
+    sum_l g_l y^l at the abscissas x, an array (x, l).
 
     Level 2 is e^{-x} (n A + y B + (x-n+1-y) W) with A = hpg01(n; xy),
-    B = hpg01(n+1; xy) and W = sum_i y^i/i! sum_{k>=i} x^k/((n+1)_k).  Higher
-    levels apply the raising recursion of g_jet,
-    g'_j = (x+l) g_j - (j+1)(j+n-l+1) g_{j+1}.
+    B = hpg01(n+1; xy) and W = sum_i y^i/i! sum_{k>=i} x^k/((n+1)_k).  Level
+    l+1 is g_jet's raising g'_j = (x+l) g_j - (j+1)(j+n-l+1) g_{j+1}.
     """
     if n < m_level:
         raise ValueError("requires n >= m_level")
-    coeffs = _g2_series(n, x, s)
+    g = _g2_series(n, x, s, terms + m_level - 2)
     for level in range(2, m_level):
-        coeffs = _raised(coeffs, n, level, x, s)
-    return coeffs
+        j = np.arange(g.shape[1] - 1)
+        g = (x[:, None] + level) * g[:, :-1] - (j + 1) * (j + n - level + 1) * g[:, 1:] / s
+    return g
 
 
-def _g2_series(n: int, x: float, s: float) -> Iterator[float]:
-    # e^{-x} x^k / (n+1)_k, summed downward into the tails of W, until it and
-    # its scaled terms x^k s^k / ((n+1)_k k!) are past their peaks and negligible
-    u, f = [math.exp(-x)], 1.0  # f = s^k / k!
-    total = peak = u[0]
-    while len(u) <= x or u[-1] > 1e-17 * total or u[-1] * f > 1e-17 * peak:
-        f *= s / len(u)
-        u.append(u[-1] * x / (n + len(u)))
-        total += u[-1]
-        peak = max(peak, u[-1] * f)
-    tails = list(itertools.accumulate(reversed(u)))[::-1]
-    a = b = math.exp(-x)  # e^{-x} (xs)^i / ((n)_i i!), the same over (n+1)_i
-    b_prev = w_prev = 0.0
-    f = 1.0
-    for i in itertools.count():
-        if i:
-            a *= x * s / ((n + i - 1) * i)
-            b_prev, b = b, b * x * s / ((n + i) * i)
-            f *= s / i
-        w = f * tails[i] if i < len(tails) else 0.0
-        yield n * a + s * b_prev + (x - n + 1) * w - s * w_prev
-        w_prev = w
-
-
-def _raised(coeffs: Iterator[float], n: int, level: int, x: float, s: float) -> Iterator[float]:
-    prev = next(coeffs)
-    for j, cur in enumerate(coeffs):
-        yield (x + level) * prev - (j + 1) * (j + n - level + 1) * cur / s
-        prev = cur
+def _g2_series(n: int, x: np.ndarray, s: float, terms: int) -> np.ndarray:
+    # e^{-x} x^k / (n+1)_k from e^{-x} on (no power overflows), summed downward
+    # into the tails of W from some nine widths past the peak of the terms
+    top = terms + int(x.max() + 9.0 * math.sqrt(x.max())) + 30
+    u = np.empty((len(x), top))
+    u[:, 0] = np.exp(-x)
+    u[:, 1:] = x[:, None] / (n + np.arange(1, top))
+    tails = u.cumprod(axis=1)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    f = np.ones(terms)  # s^i / i!
+    f[1:] = s / np.arange(1, terms)
+    w = f.cumprod() * tails[:, :terms]
+    g = n * _hpg01_coefs(n, x, s, terms, u[:, 0]) + (x[:, None] - n + 1) * w
+    g[:, 1:] += s * (_hpg01_coefs(n + 1, x, s, terms, u[:, 0])[:, :-1] - w[:, :-1])
+    return g
 
 
 def _conjecture_power(n: int, m: int, x: float) -> float:
@@ -593,31 +606,35 @@ def conjecture_front_factor(n: int, m: int, x: float) -> float:
     return _conjecture_power(n, m, x) * math.exp(-m * x)
 
 
-def pdf_conjecture(params: WishartParams, x: float, cfg: EvalConfig) -> float:
+@_gridded
+def pdf_conjecture(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """psi_{n,m} = C(x) e^{-sum lam} / ((n-m)!^m V(lam))
     * det(hpg01(n-m+1; x lam_i); G_{n-m+j, j}(x, lam_i)), proved for m = 2, 3
     and conjectured beyond.  Each row carries one e^{-x} of C(x), which keeps
     the entries in float range for x up to a few hundred; past ``PDF_SHIFT``
     that e^{-x} loses digits to underflow, so x > PDF_SHIFT raises
-    ``NumericFailure``.  A determinant that leaves float range gives NaN,
-    which ``pdf`` refuses."""
+    ``NumericFailure``, as does a determinant that leaves float range."""
     n, m = params.n, params.m
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return pdf_quadrature(params, x, cfg)
-    if m > 4:
-        raise ValueError("conjecture route implemented for m <= 4")
-    if m == 4 and not cfg.experimental_m4:
-        raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
-    if x > PDF_SHIFT:
-        raise NumericFailure(f"the conjecture route serves x <= {PDF_SHIFT:g}")
-    columns = [functools.partial(_hpg01_series, n - m + 1, x)]
-    columns += [functools.partial(g_series, n - m + j, j, x) for j in range(2, m + 1)]
-    det = _det(divided_rows(columns, params.lambdas))
-    if not math.isfinite(det):
-        return math.nan  # the dispatch refuses it, like any value that is not finite
-    return _fronted(params, det * _conjecture_power(n, m, x) / math.factorial(n - m) ** m)
+
+    def values(x):
+        if m > 4:
+            raise ValueError("conjecture route implemented for m <= 4")
+        if m == 4 and not cfg.experimental_m4:
+            raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
+        if x.max() > PDF_SHIFT:
+            raise NumericFailure(f"the conjecture route serves x <= {PDF_SHIFT:g}")
+        s = float(_scale(params.lambdas))
+
+        def coefs(L):
+            columns = [_hpg01_coefs(n - m + 1, x, s, L, np.exp(-x))]
+            columns += [g_series(n - m + j, j, x, s, L) for j in range(2, m + 1)]
+            return np.stack(columns, axis=1)
+
+        det = np.linalg.det(divided_rows(coefs, params.lambdas, _terms(params, x.max())))
+        det = det * _conjecture_power(n, m, x) / math.factorial(n - m) ** m
+        return [_fronted(params, d) for d in det.tolist()]
+
+    return _on_positive(xs, _density_at_zero(params), values)
 
 
 def pdf_m2_closed(params: WishartParams, x: float) -> float:
@@ -634,11 +651,13 @@ def pdf_m2_closed(params: WishartParams, x: float) -> float:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _route_value(kind: str, params: WishartParams, x: float, cfg: EvalConfig) -> float:
-    """The value of the route ``cfg.method`` for a "cdf" or "pdf" at a finite
-    x (``ValueError`` otherwise); a value that is not a finite number raises
-    ``NumericFailure``."""
-    if not math.isfinite(x):
+def _route_value(kind: str, params: WishartParams, x, cfg: EvalConfig):
+    """The value of the route ``cfg.method`` for a "cdf" or "pdf" at a finite x,
+    or the list of values at a sequence of them (``ValueError`` otherwise); a
+    value that is not a finite number raises ``NumericFailure``."""
+    one = isinstance(x, numbers.Real)
+    xs = [x] if one else list(x)
+    if not all(map(math.isfinite, xs)):
         raise ValueError(f"x must be finite, got {x}")
     routes = {"quadrature": (cdf_quadrature, pdf_quadrature), "series": (cdf_series, pdf_series),
               "conjecture": (None, pdf_conjecture)}
@@ -651,15 +670,18 @@ def _route_value(kind: str, params: WishartParams, x: float, cfg: EvalConfig) ->
     fn = routes[cfg.method][kind == "pdf"]
     if fn is None:
         raise ValueError("the conjectured closed form gives the density, not the CDF")
-    value = fn(params, x, cfg)
-    if not math.isfinite(value):
-        raise NumericFailure(f"the {cfg.method} route returned {value}")
-    return value
+    values = fn(params, xs, cfg)
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise NumericFailure(f"the {cfg.method} route returned {bad[0]}")
+    return values[0] if one else values
 
 
-def cdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
+def cdf(params: WishartParams, x, cfg: EvalConfig | None = None):
+    """The CDF at a float x, or the list of its values at a sequence of x."""
     return _route_value("cdf", params, x, cfg or EvalConfig())
 
 
-def pdf(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
+def pdf(params: WishartParams, x, cfg: EvalConfig | None = None):
+    """The density at a float x, or the list of its values at a sequence of x."""
     return _route_value("pdf", params, x, cfg or EvalConfig())

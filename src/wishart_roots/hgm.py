@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _fronted,
-                           _h_series, _hpg01_series, _tails, divided_rows)
+                           _gridded, _h_coefs, _hpg01_coefs, _scale, _tails, _terms, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
@@ -117,12 +117,15 @@ def initial_state(params: WishartParams, x0: float, cfg: EvalConfig | None = Non
     its 1/(n-m)!, over one tail array at x0) plus the hpg01 columns."""
     if not (0 < x0 <= X0):
         raise ValueError(f"initial abscissa must satisfy 0 < x0 <= {X0}")
-    n, m = params.n, params.m
-    N = n - m + 1
-    tails = _tails(params, x0)
-    columns = [functools.partial(_h_series, n - j, N, tails) for j in range(1, m + 1)]
-    columns += [functools.partial(_hpg01_series, nu, x0, scale=1.0) for nu in (N, N + 1)]
-    return HgmState(x0, np.array(divided_rows(columns, params.lambdas)).ravel())
+    N = params.n - params.m + 1
+    x, s = np.array([x0], dtype=float), float(_scale(params.lambdas))
+    tails = _tails(params, x)
+
+    def coefs(L):
+        u = [_hpg01_coefs(nu, x, s, L, 1.0)[:, None] for nu in (N, N + 1)]
+        return np.concatenate([_h_coefs(params, tails, L)] + u, axis=1)
+
+    return HgmState(x0, divided_rows(coefs, params.lambdas, _terms(params, x0))[0].ravel())
 
 
 def hgm_integrate(
@@ -247,12 +250,14 @@ def extraction_vector_dx(
 # distribution values through the Pfaffian route
 # ---------------------------------------------------------------------------
 
-def pdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    return trajectory(params, [x], cfg, what="R")[0][3]
+@_gridded
+def pdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
+    return [row[3] for row in trajectory(params, xs, cfg, what="R")]
 
 
-def cdf_hgm(params: WishartParams, x: float, cfg: EvalConfig | None = None) -> float:
-    return trajectory(params, [x], cfg, what="F")[0][3]
+@_gridded
+def cdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
+    return [row[3] for row in trajectory(params, xs, cfg, what="F")]
 
 
 def trajectory(
@@ -262,7 +267,8 @@ def trajectory(
     what: str = "R",
 ) -> List[Tuple[float, np.ndarray, float, float]]:
     """March once through the abscissas in increasing order; returns
-    (x, basis values, determinant value, distribution value) per abscissa.
+    (x, basis values, determinant value, distribution value) per abscissa,
+    in the order given.
 
     The basis values are the 3^m products of the eigenvalues' (b0, b1, b2),
     eigenvalues descending, C-order over {0,1,2}^m.  With E_ij =
@@ -280,11 +286,9 @@ def trajectory(
         raise ValueError("what must be 'R' or 'F'")
     if not all(map(math.isfinite, xs)):
         raise ValueError("abscissas must be finite")
-    xs = sorted(xs)
+    given, xs = xs, sorted(xs)
     out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
     xs = xs[len(out):]
-    if not xs:
-        return out
     sys = PfaffianSystem(n, m)
     N = sys.N
     lam = params.lambdas
@@ -295,7 +299,7 @@ def trajectory(
     # ascending mu no term is negative (k > i gives 0); rows in the order of lam
     newton = np.array([[math.prod(mu[i] - mu[t] for t in range(k)) for k in range(m)]
                        for i in reversed(range(m))])
-    state = initial_state(params, min(X0, xs[0]), cfg)
+    state = initial_state(params, min(X0, xs[0]), cfg) if xs else None
     for x in xs:
         if x > X0:
             state = hgm_integrate(sys, state, x, lam, cfg)
@@ -313,7 +317,8 @@ def trajectory(
         s = math.exp(N * math.log(x) - x)
         basis = newton @ w[:, m - 1:] * (1.0, s, s)  # H^{n-m}_N is b0 = H^{N-1}_N
         out.append((x, functools.reduce(np.kron, basis), vandermonde * det, dist))
-    return out
+    rows = {row[0]: row for row in out}
+    return [rows[x] for x in given]
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,26 @@ def test_curves_series_operations_match_quadrature():
         for r in rows:
             ref = pdf_quadrature(p, float(r[0]), EvalConfig())
             assert float(r[col]) == pytest.approx(ref, rel=1e-6, abs=0)
+
+
+def test_curves_cheap_operations_match_points():
+    # the six quadrature and conjecture grids of the curves workload, run as
+    # the benchmark runs them: one call per grid, each value the scalar call's
+    from wishart_roots.distribution import (EvalConfig, WishartParams, cdf_quadrature, pdf_conjecture,
+                                            pdf_quadrature)
+
+    workloads = load("workloads")
+    pkg = workloads.Package()
+    ops = [op for curves in workloads.make_inputs("curves", 1)["sets"] for op in curves["cheap"]]
+    assert len(ops) == 6
+    routes = {("quadrature", "cdf"): cdf_quadrature, ("quadrature", "pdf"): pdf_quadrature,
+              ("conjecture", "pdf"): pdf_conjecture}
+    for op in ops:
+        rc, text = pkg.run(op)
+        assert rc == 0
+        header, *rows = csv.reader(io.StringIO(text))
+        assert [float(r[0]) for r in rows] == op["xs"]
+        col = header.index(op["col"])
+        p, point = WishartParams(op["n"], op["m"], op["lambdas"]), routes[op["route"], op["what"]]
+        for r in rows:
+            assert float(r[col]) == pytest.approx(point(p, float(r[0]), EvalConfig()), rel=1e-11, abs=0)

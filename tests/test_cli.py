@@ -85,9 +85,22 @@ class TestPointCommands:
         def broken(*a, **k):
             raise TypeError("synthetic fault in the reference route")
 
-        monkeypatch.setattr(dist, "cdf_series", broken)
+        monkeypatch.setattr(dist, "pdf_conjecture", broken)
         with pytest.raises(TypeError):
-            run_cli(capsys, "cdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3")
+            run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3")
+
+    def test_err_estimate_is_not_measured_against_series(self, capsys):
+        # the order-20 series is silently wrong here (1.9e-12 against 0.020390):
+        # the other routes measure their error against quadrature or conjecture
+        code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "40,30",
+                               "--x", "60", "--method", "all", "--json")
+        assert code == 0
+        rows = {r["method"]: r for r in json.loads(out)}
+        quadrature = rows["quadrature"]["value"]
+        assert quadrature == pytest.approx(0.020390, rel=1e-4)
+        for method in ("quadrature", "conjecture", "hgm"):
+            assert rows[method]["err_est"] <= 1e-8 * rows[method]["value"], method
+        assert rows["series"]["err_est"] >= 0.5 * quadrature
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "cdf", "--n", "3", "--m", "1",
@@ -139,6 +152,13 @@ class TestTable:
                                "--what", "cdf", "--method", "all")
         assert code == 0
         assert out.splitlines()[0] == "x,cdf_quadrature,cdf_series,cdf_hgm"
+
+    def test_one_refused_abscissa_exits_2(self, capsys):
+        # quadrature serves x = 50 and refuses x = 450 at these eigenvalues
+        code, out, err = run_cli(capsys, "table", "--n", "5", "--m", "3", "--lambda", "500,400,300",
+                                 "--x-min", "50", "--x-max", "450", "--points", "2", "--what", "cdf")
+        assert code == 2 and out == ""
+        assert "float range" in err
 
     @pytest.mark.parametrize("what", ["pdf", "cdf"])
     def test_hgm_sweep_matches_point_calls(self, capsys, what):

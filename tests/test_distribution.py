@@ -1,7 +1,7 @@
-import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -345,10 +345,11 @@ class TestConjecture:
         assert pdf_conjecture(p, 3.0, cfg4) == pytest.approx(a, rel=1e-6)
 
     def test_nonfinite_value_raises(self):
-        # the conjecture determinant is NaN at this large-lam point; the
-        # dispatch refuses it rather than returning it
+        # the conjecture determinant leaves float range at this large-lam
+        # point; the route and the dispatch refuse it rather than returning it
         p = WishartParams(5, 3, (400.0, 300.0, 200.0))
-        assert math.isnan(pdf_conjecture(p, 480.0, CFG))
+        with pytest.raises(NumericFailure):
+            pdf_conjecture(p, 480.0, CFG)
         with pytest.raises(NumericFailure):
             pdf(p, 480.0, EvalConfig(method="conjecture"))
 
@@ -412,10 +413,15 @@ class TestDividedDifferences:
         (Fraction(0), Fraction(0), Fraction(0)),
     ])
     def test_rows_match_exact_divided_differences(self, lams):
-        from wishart_roots.distribution import divided_rows
+        from wishart_roots.distribution import _scale, divided_rows
 
-        columns = [lambda s, p=p: (c * s ** l for l, c in enumerate(p)) for p in self.POLYS]
-        rows = divided_rows(columns, lams)
+        s = _scale(lams)
+
+        def coefs(terms):
+            return np.array([[c * s ** l for l, c in enumerate(p)] + [0] * (terms - len(p))
+                             for p in self.POLYS], object)
+
+        rows = divided_rows(coefs, lams, 8, Fraction)
         for c, poly in enumerate(self.POLYS):
             assert [row[c] for row in rows] == _exact_divided_differences(poly, sorted(lams))
 
@@ -423,7 +429,7 @@ class TestDividedDifferences:
         from wishart_roots.distribution import NumericFailure, divided_rows
 
         with pytest.raises(NumericFailure):
-            divided_rows([lambda s: itertools.repeat(1.0)], [0.5, 1.0])
+            divided_rows(lambda terms: np.ones((1, terms)), [0.5, 1.0], 16)
 
     @pytest.mark.parametrize("n,m,lams", [
         (4, 2, lambda d: (2 + d, 2 - d)),
@@ -461,13 +467,91 @@ class TestDividedDifferences:
     def test_g_series_sums_to_g_function(self, n, level):
         from functools import partial
 
-        from wishart_roots.distribution import divided_rows, g_series
+        from wishart_roots.distribution import _scale, divided_rows, g_series
 
         for x in (0.2, 2.0, 20.0, 150.0):
             for y in (0.0, 0.5, 3.0, 60.0):
                 # with one eigenvalue the divided difference is the value
-                total = divided_rows([partial(g_series, n, level, x)], [y])[0][0]
+                total = divided_rows(partial(g_series, n, level, np.array([x]), _scale([y])), [y], 16)[0, 0]
                 assert math.exp(x) * total == pytest.approx(g_function(n, level, x, y), rel=1e-10)
+
+
+class TestGrids:
+    """A sequence of abscissas is one array program per route; each value
+    must be the route's scalar value at that abscissa, and a refusal anywhere
+    refuses the grid."""
+
+    COND_POINT = (8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673,
+                         136.70859285557685), 24.969317566358836)
+    GRIDS = {
+        "zero-x": (4, 2, (2.0, 1.0), [0.0, 0.5, 3.0, 20.0, 0.0]),
+        "m4-small-x": (6, 4, (4.0, 3.0, 2.0, 1.0), [0.3, 0.05, 1.0, 4.0]),
+        "m4-cond-limit": COND_POINT[:3] + ([200.0, COND_POINT[3], 300.0],),
+        "repeat-and-zero-lam": (5, 3, (2.0, 2.0, 0.0), [9.0, 0.2, 1.5]),
+        "across-pdf-shift": (4, 2, (2.0, 1.0), [650.0, 700.0, 750.0]),
+        "one-refused": (5, 3, (500.0, 400.0, 300.0), [50.0, 450.0]),
+    }
+    ROUTES = (cdf_quadrature, pdf_quadrature, pdf_conjecture)
+
+    @staticmethod
+    def _values(fn, p, xs, cfg):
+        try:
+            return fn(p, xs, cfg)
+        except NumericFailure:
+            return None
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_grid_equals_points(self, name):
+        n, m, lams, xs = self.GRIDS[name]
+        p, cfg = WishartParams(n, m, lams), EvalConfig(experimental_m4=True)
+        for fn in self.ROUTES:
+            points = [self._values(fn, p, x, cfg) for x in xs]
+            grid = self._values(fn, p, xs, cfg)
+            if None in points:
+                assert grid is None, fn.__name__
+            else:
+                assert grid == pytest.approx(points, rel=1e-11, abs=0), fn.__name__
+
+    def test_ill_conditioned_point_is_summed_in_decimals_in_a_grid(self, monkeypatch):
+        import wishart_roots.distribution as dist
+
+        original, resums = dist._decimals, []
+        monkeypatch.setattr(dist, "_decimals", lambda a: resums.append(len(a)) or original(a))
+        n, m, lams, xs = self.GRIDS["m4-cond-limit"]
+        p = WishartParams(n, m, lams)
+        for fn in (cdf_quadrature, pdf_quadrature):
+            resums.clear()
+            fn(p, xs, CFG)
+            assert resums and all(k == 1 for k in resums), fn.__name__  # that abscissa alone
+
+    def test_series_grid_is_its_points(self):
+        p, xs, cfg = WishartParams(4, 2, (2.0, 1.0)), [0.0, 0.5, 3.0, 8.0], EvalConfig(series_order=8)
+        for fn in (cdf_series, pdf_series):
+            assert fn(p, xs, cfg) == [fn(p, x, cfg) for x in xs]
+
+    def test_hgm_grid(self):
+        from wishart_roots.hgm import X0, cdf_hgm, pdf_hgm
+
+        p = WishartParams(5, 3, (2.0, 2.0, 0.0))
+        start, march = [1.5, 0.2, X0, 0.7], [6.0, 1.0, 3.0]
+        for fn in (cdf_hgm, pdf_hgm):
+            # up to X0 every value comes from the series start
+            assert fn(p, start, CFG) == pytest.approx([fn(p, x, CFG) for x in start], rel=1e-11, abs=0)
+            # above it the grid is one march, within the integration tolerance
+            assert fn(p, march, CFG) == pytest.approx([fn(p, x, CFG) for x in march], rel=1e-8, abs=0)
+
+    def test_dispatch_refuses_a_nonfinite_abscissa_in_a_grid(self):
+        with pytest.raises(ValueError):
+            cdf(WishartParams(4, 2, (2.0, 1.0)), [1.0, math.inf], CFG)
+
+    def test_integer_abscissas_are_floats(self):
+        # x^{mn - m(m-1)/2 - 1} is 4^38 and 60^11 here, beyond int64
+        for n, m, lams, x in ((20, 2, (2.0, 1.0), 4), (5, 3, (1.2, 0.7, 0.2), 60)):
+            p = WishartParams(n, m, lams)
+            want = pdf_conjecture(p, float(x), CFG)
+            assert pdf_conjecture(p, x, CFG) == want
+            assert pdf_conjecture(p, [0.5, x], CFG)[1] == pytest.approx(want, rel=1e-11)
+            assert pdf(p, x, EvalConfig(method="conjecture")) == want
 
 
 def _load_oracle():
@@ -567,16 +651,19 @@ class TestQuadratureReference:
 
         p, x = WishartParams(5, 3, (30.0, 20.0, 10.0)), 40.0
         want = cdf(p, x, CFG), pdf(p, x, CFG)
-        monkeypatch.setattr(dist, "_tails", lambda params, x: PoissonTails(x, 1))
+        monkeypatch.setattr(dist, "_tails", lambda params, xs: [PoissonTails(x, 1) for x in xs])
         assert (cdf(p, x, CFG), pdf(p, x, CFG)) == pytest.approx(want, rel=1e-13)
 
     def test_ill_conditioned_rows_are_summed_in_decimals(self):
-        from wishart_roots.distribution import COND_LIMIT, _det_cond, _h_columns, divided_rows
+        from wishart_roots.distribution import (COND_LIMIT, _det_cond, _h_coefs, _tails, _terms,
+                                                divided_rows)
 
         p = WishartParams(8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673,
                                  136.70859285557685))
-        rows = divided_rows(_h_columns(p, 24.969317566358836), p.lambdas)
-        assert _det_cond(rows)[1] > COND_LIMIT
+        x = np.array([24.969317566358836])
+        tails = _tails(p, x)
+        rows = divided_rows(lambda terms: _h_coefs(p, tails, terms, 4), p.lambdas, _terms(p, x[0]))
+        assert _det_cond(rows)[1][0] > COND_LIMIT
 
     def test_refusal_where_the_determinant_leaves_float_range(self):
         # true values (0.00934465968112662, 0.0009455191644886697): sum lam = 1200
