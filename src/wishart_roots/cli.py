@@ -147,21 +147,21 @@ def _err_estimate(kind: str, params: WishartParams, x: float, args, method: str,
     return abs(value) * args.tol
 
 
-def _routes(kind: str, method: str) -> List[str]:
+def _routes(kind: str, method: str, m: int) -> List[str]:
     """The routes --method names for a cdf or pdf.  The conjecture route
-    defines the density only: "all" leaves it out of a CDF."""
-    routes = ["quadrature", "series", "conjecture", "hgm"] if method == "all" else [method]
-    if kind == "cdf" and "conjecture" in routes:
-        if method != "all":
+    defines the density only and is experimental at m = 4: "all" leaves it
+    out of a CDF and out of an m = 4 density."""
+    if method != "all":
+        if kind == "cdf" and method == "conjecture":
             raise ValueError("the conjecture route defines the density only")
-        routes.remove("conjecture")
-    return routes
+        return [method]
+    return ["quadrature", "series"] + (["conjecture"] if kind == "pdf" and m != 4 else []) + ["hgm"]
 
 
 def cmd_point(kind: str, args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     rows = []
-    for method in _routes(kind, args.method):
+    for method in _routes(kind, args.method, args.m):
         value = _eval_one(kind, params, args.x, args, method)
         err = _err_estimate(kind, params, args.x, args, method, value)
         rows.append((args.x, value, method, err))
@@ -187,7 +187,7 @@ def _grid(args) -> List[float]:
 def cmd_table(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     xs = _grid(args)
-    methods = _routes(args.what, args.method)
+    methods = _routes(args.what, args.method, args.m)
     columns = [_eval_one(args.what, params, xs, args, mth) for mth in methods]
     print("x," + ",".join(f"{args.what}_{mth}" for mth in methods))
     for x, vals in zip(xs, zip(*columns)):

@@ -361,8 +361,9 @@ def cdf_series(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[
     if any(x < 0 for x in xs):
         raise ValueError("x must be >= 0")
     s = _cdf_sym_series_cached(params.n, params.m, cfg.series_order)
-    return [min(max(s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas)), 0.0), 1.0)
-            if x != 0.0 else 0.0 for x in xs]
+    front = math.exp(-sum(params.lambdas))
+    values = iter(s.eval([x for x in xs if x != 0.0], list(params.lambdas)))
+    return [min(max(next(values) * front, 0.0), 1.0) if x != 0.0 else 0.0 for x in xs]
 
 
 @_gridded
@@ -370,7 +371,8 @@ def pdf_series(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[
     if any(x < 0 for x in xs):
         raise ValueError("x must be >= 0")
     s = _psi_series_cached(params.n, params.m, cfg.series_order)
-    return [s.eval(x, list(params.lambdas)) * math.exp(-sum(params.lambdas)) for x in xs]
+    front = math.exp(-sum(params.lambdas))
+    return [v * front for v in s.eval(xs, list(params.lambdas))]
 
 
 # ---------------------------------------------------------------------------

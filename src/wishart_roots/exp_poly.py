@@ -223,57 +223,81 @@ def terms_diff(a: Dict[Term, object]) -> Dict[Term, object]:
     return out
 
 
+DECIMAL_DIGITS = 40  # first precision of the cancellation re-sum
+DECIMAL_CAP = 640  # precision past which a cancelling value is refused
+
+
 def eval_terms(terms: Dict[Term, object], x0: float, den: int = 1) -> float:
     """Numeric value at x = x0 of the term map divided by ``den``.
 
     Requires x0 > 0 whenever a negative x-power is present (the ring
-    element has a pole at 0 otherwise).  Closed forms like the incomplete
-    gammas cancel violently when x is small relative to the degree, so when
-    the float sum loses more than ~4 digits to cancellation the value is
-    recomputed with exact rational coefficients and a 40-digit e^{-x}.
-    Each coefficient enters as the correctly rounded float of c / den.
+    element has a pole at 0 otherwise); at x0 = 0 the value is the exact
+    sum of the x^0 coefficients.  Each coefficient enters the float sum as
+    the correctly rounded float of c / den.  Closed forms like the
+    incomplete gammas cancel violently when x is small relative to the
+    degree, so when the float sum loses more than one bit to cancellation
+    (the terms' absolute values sum to more than twice the value) it is
+    summed again in Decimal from ``DECIMAL_DIGITS`` digits, the precision
+    doubling until the rounding bound (largest term) * (term count) *
+    10^(20 - prec) is below the value.  Past ``DECIMAL_CAP`` digits an
+    exact zero gives 0.0 and anything else ``ArithmeticError``.
     """
-    if x0 == 0 and any(i < 0 for (i, _) in terms):
-        raise ZeroDivisionError("negative x-power evaluated at x = 0")
+    if x0 == 0:
+        if any(i < 0 for (i, _) in terms):
+            raise ZeroDivisionError("negative x-power evaluated at x = 0")
+        return float(Fraction(sum(c for (i, _), c in terms.items() if i == 0)) / den)
     x0 = float(x0)
     total = 0.0
-    biggest = 0.0
+    mass = 0.0
     for (i, j), c in terms.items():
         term = (c / den if den != 1 else float(c)) * x0 ** i * math.exp(-j * x0)
         total += term
-        biggest = max(biggest, abs(term))
-    if biggest > 0.0 and abs(total) < 1e-4 * biggest:
-        ctx = getcontext()
-        old = ctx.prec
-        ctx.prec = 40
-        try:
-            return float(decimal_terms(terms, *decimal_exp(Fraction(x0), 38), den))
-        finally:
-            ctx.prec = old
+        mass += abs(term)
+    if 2.0 * abs(total) < mass:
+        return float(_certified_terms(terms, Fraction(x0), den))
     return total
+
+
+def _certified_terms(terms: Dict[Term, object], x: Fraction, den: int) -> Decimal:
+    """The value of the term map / ``den`` at x, in Decimal at a precision
+    that certifies it (see ``eval_terms``)."""
+    ctx = getcontext()
+    old = ctx.prec
+    try:
+        ctx.prec = DECIMAL_DIGITS
+        while ctx.prec <= DECIMAL_CAP:
+            parts = list(_decimal_parts(terms, *decimal_exp(x), den))
+            value = sum(parts)
+            if max(map(abs, parts)) * len(parts) * Decimal(10) ** (20 - ctx.prec) < abs(value):
+                return value
+            ctx.prec *= 2
+    finally:
+        ctx.prec = old
+    # e^{-x} is transcendental at a rational x > 0, so the value is exactly
+    # zero iff the coefficient of every E-power vanishes there
+    by_e: Dict[int, Fraction] = {}
+    for (i, j), c in terms.items():
+        by_e[j] = by_e.get(j, 0) + Fraction(c) * x ** i
+    if not any(by_e.values()):
+        return Decimal(0)
+    raise ArithmeticError(f"the terms cancel beyond {DECIMAL_CAP} digits at x = {float(x)}")
+
+
+def _decimal_parts(terms: Dict[Term, object], xd: Decimal, E: Decimal, den: int):
+    for (i, j), c in terms.items():
+        yield Decimal(c.numerator) / Decimal(c.denominator * den) * xd ** i * E ** j
 
 
 def decimal_terms(terms: Dict[Term, object], xd: Decimal, E: Decimal, den: int = 1) -> Decimal:
     """Value of the term map divided by ``den`` in the current Decimal
     context at x = xd, given E = e^{-x}."""
-    total = Decimal(0)
-    for (i, j), c in terms.items():
-        total += Decimal(c.numerator) / Decimal(c.denominator * den) * xd ** i * E ** j
-    return total
+    return sum(_decimal_parts(terms, xd, E, den), Decimal(0))
 
 
-def decimal_exp(x: Fraction, digits: int) -> Tuple[Decimal, Decimal]:
-    """x and e^{-x} in the current Decimal context, e^{-x} by its Taylor
-    series summed until a term is at most 10^-digits (arguments here are
-    desk-scale)."""
+def decimal_exp(x: Fraction) -> Tuple[Decimal, Decimal]:
+    """x and e^{-x}, each correctly rounded in the current Decimal context."""
     xd = Decimal(x.numerator) / Decimal(x.denominator)
-    term = E = Decimal(1)
-    k = 0
-    while abs(term) > Decimal(10) ** -digits:
-        k += 1
-        term *= -xd / k
-        E += term
-    return xd, E
+    return xd, (-xd).exp()
 
 
 def gamma_terms(a: int) -> Dict[Term, int]:

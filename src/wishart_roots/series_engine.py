@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -202,39 +203,57 @@ class LambdaSeries:
     def is_zero_on_valid_box(self) -> bool:
         return not self.nonzero_on_valid_box()
 
-    def eval(self, x0: float, lambdas: Sequence[float]) -> float:
+    def contract(self, lambdas: Sequence) -> Tuple[Dict[Term, int], int]:
+        """The series at rational eigenvalues, sum_q num_q lam^q / den, as one
+        int term map over one int denominator: exact, and free of x.
+
+        Each lam_i = a_i / b_i (a float is the dyadic rational it holds) is
+        taken out by Horner, the last variable first: the running sum is
+        multiplied by a_i and the coefficient of lam_i^e enters weighted by
+        b_i^(top - e), so no power table is formed and a zero eigenvalue
+        simply keeps the coefficients of lam_i^0.
+        """
         if len(lambdas) != self.m:
             raise ValueError("lambda count mismatch")
-        total = 0.0
-        for q, p in self.num.items():
-            v = eval_terms(p, x0, self.den)
-            for lam, e in zip(lambdas, q):
-                v *= lam ** e
-            total += v
-        return total
+        layer, den = self.num, self.den
+        for lam in reversed(lambdas):
+            a, b = Fraction(lam).as_integer_ratio()
+            levels: Dict[int, List[Tuple[Expo, Dict[Term, int]]]] = {}
+            for q, p in layer.items():
+                levels.setdefault(q[-1], []).append((q[:-1], p))
+            top = max(levels, default=0)
+            layer, w = {}, 1
+            for e in range(top, -1, -1):
+                if a != 1:
+                    layer = {r: {t: v * a for t, v in p.items()} for r, p in layer.items()} if a else {}
+                for rest, p in levels.get(e, ()):
+                    _add_into(layer, rest, p, w)
+                w *= b
+            den *= b ** top
+        return layer.get((), {}), den
+
+    def eval(self, x, lambdas: Sequence[float]):
+        """The series at one float x (a float) or at a sequence of them (a
+        list, in their order): contracted against ``lambdas`` once, then one
+        ``eval_terms`` per abscissa."""
+        terms, den = self.contract(lambdas)
+        if isinstance(x, numbers.Real):
+            return eval_terms(terms, x, den)
+        return [eval_terms(terms, x0, den) for x0 in x]
 
     def eval_decimal(self, x0: Fraction, lambdas: Sequence[Fraction], prec: int = 50) -> Decimal:
         """High-precision evaluation at rational arguments.
 
         The closed forms of the coefficients subtract quantities agreeing to
-        many digits when x is small (incomplete-gamma pieces), so the float
-        ``eval`` loses accuracy there; this route computes the polynomial
-        parts exactly and e^{-x} by a Decimal series.
+        many digits when x is small (incomplete-gamma pieces); this route
+        contracts the series against the rational eigenvalues exactly and
+        sums the contraction's terms in ``prec``-digit Decimal.
         """
-        if len(lambdas) != self.m:
-            raise ValueError("lambda count mismatch")
+        terms, den = self.contract([Fraction(l) for l in lambdas])
         ctx_prec = getcontext().prec
         getcontext().prec = max(prec + 10, ctx_prec)
         try:
-            xd, E = decimal_exp(Fraction(x0), prec + 5)
-            lam_d = [Decimal(Fraction(l).numerator) / Decimal(Fraction(l).denominator) for l in lambdas]
-            total = Decimal(0)
-            for q, p in self.num.items():
-                v = decimal_terms(p, xd, E, self.den)
-                for l, e in zip(lam_d, q):
-                    v *= l ** e
-                total += v
-            return total
+            return decimal_terms(terms, *decimal_exp(Fraction(x0)), den)
         finally:
             getcontext().prec = ctx_prec
 

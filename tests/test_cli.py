@@ -52,6 +52,20 @@ class TestPointCommands:
         vals = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert max(vals) - min(vals) < 1e-8 * max(vals)
 
+    def test_method_all_m4_density_leaves_out_conjecture(self, capsys):
+        # the m = 4 conjecture route is experimental: "all" runs the others
+        code, out, _ = run_cli(capsys, "pdf", "--n", "6", "--m", "4", "--lambda", "1.5,1,0.5,0.1",
+                               "--x", "2", "--method", "all", "--order", "3")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["quadrature", "series", "hgm"]
+        quadrature, series, hgm = (float(r[1]) for r in rows)
+        assert hgm == pytest.approx(quadrature, rel=1e-8, abs=0)
+        assert series == pytest.approx(quadrature, rel=1e-3, abs=0)  # order-3 truncation
+        code, _, err = run_cli(capsys, "pdf", "--n", "6", "--m", "4", "--lambda", "1.5,1,0.5,0.1",
+                               "--x", "2", "--method", "conjecture")
+        assert code == 1 and "experimental" in err
+
     def test_zero_lambda_all_routes(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
                                "--lambda", "2,0", "--x", "5", "--method", "all")
@@ -303,13 +317,22 @@ class TestNumericFailureExit:
         assert code == 2
         assert "numeric failure" in err
 
-    def test_nan_value_is_numeric_failure(self, capsys):
-        # the m = 2 conjecture overflows to NaN here; no row is printed
+    def test_float_range_refusal_is_numeric_failure(self, capsys):
+        # the m = 2 conjecture's determinant leaves float range here; no row is printed
         code, out, err = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "500,400",
                                  "--x", "540", "--method", "conjecture")
         assert code == 2
         assert out == ""
-        assert "numeric failure" in err and "nan" in err
+        assert "numeric failure" in err and "left float range" in err
+
+    def test_nan_value_is_numeric_failure(self, capsys, monkeypatch):
+        from wishart_roots import distribution as dist
+
+        monkeypatch.setattr(dist, "pdf_quadrature", lambda p, xs, cfg: [float("nan")] * len(xs))
+        code, out, err = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3")
+        assert code == 2
+        assert out == ""
+        assert "numeric failure" in err and "returned nan" in err
 
 
 _POINT = ["--n", "4", "--m", "2", "--lambda", "2,1"]

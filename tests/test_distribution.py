@@ -159,6 +159,16 @@ class TestPdf:
         for x in (0.5, 2.0, 4.0):
             assert pdf(p, x, cfgs) == pytest.approx(pdf(p, x, CFG), rel=1e-8)
 
+    @pytest.mark.parametrize("x", [0.1, 0.3])
+    def test_series_small_x_m4_matches_decimal(self, x):
+        # every coefficient cancels here; the contraction's value is certified
+        from wishart_roots.series_engine import build_psi_series
+
+        lam = (1.5, 1.0, 0.5, 0.1)
+        got = pdf_series(WishartParams(6, 4, lam), x, EvalConfig(series_order=4))
+        ref = build_psi_series(6, 4, 4).eval_decimal(Fraction(x), [Fraction(v) for v in lam], prec=80)
+        assert got == pytest.approx(float(ref) * math.exp(-sum(lam)), rel=1e-9, abs=0)
+
 
 class TestTailIntegralAndG:
     @pytest.mark.parametrize("n,x", [(2, 1.0), (4, 3.0), (5, 0.7)])

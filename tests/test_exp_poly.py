@@ -138,6 +138,34 @@ class TestIncompleteGamma:
         ref, err = quad(lambda t: t ** (a - 1) * math.exp(-t), 0, x, limit=200)
         assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_cancellation_raises_precision_until_certified(self, monkeypatch):
+        # gamma(30, x) = 29! (1 - E sum_{k<30} x^k / k!) loses 122 digits at
+        # x = 1e-3: 40 and 80 digits do not certify it, 160 do
+        from decimal import getcontext
+
+        from wishart_roots import exp_poly
+
+        precs = []
+        real = exp_poly.decimal_exp
+        monkeypatch.setattr(exp_poly, "decimal_exp", lambda x: precs.append(getcontext().prec) or real(x))
+        a, x = 30, 1e-3
+        term, ref = x ** a * math.exp(-x) / a, 0.0
+        for k in range(1, 10):
+            ref += term
+            term *= x / (a + k)
+        assert incomplete_gamma_exact(a).eval(x) == pytest.approx(ref, rel=1e-14, abs=0)
+        assert precs == [40, 80, 160]
+
+    def test_cancellation_past_the_cap_raises(self):
+        # gamma(150, 1e-3) ~ 1e-452 from terms of 149! ~ 1e260
+        with pytest.raises(ArithmeticError):
+            incomplete_gamma_exact(150).eval(1e-3)
+
+    def test_exact_zeros(self):
+        assert incomplete_gamma_exact(5).eval(0.0) == 0.0
+        # (x - 1) E cancels exactly at x = 1: no precision certifies it
+        assert (ExpPoly.term(1, 1, 1) - ExpPoly.e(1)).eval(1.0) == 0.0
+
     def test_recurrence_is_exact(self):
         for a in range(1, 10):
             lhs = incomplete_gamma_exact(a + 1)

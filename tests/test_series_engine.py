@@ -200,6 +200,12 @@ class TestPsiSeries:
         v = float(s.eval_decimal(Fraction(1, 2), [Fraction(1), Fraction(1, 2)]))
         assert v == pytest.approx(s.eval(0.5, [1.0, 0.5]), rel=1e-10)
 
+    @pytest.mark.parametrize("lam", [(0, 0), (1, 0)])
+    def test_eval_decimal_at_zero_eigenvalue(self, lam):
+        s = build_psi_series(4, 2, 12)
+        v = float(s.eval_decimal(Fraction(1, 2), [Fraction(l) for l in lam]))
+        assert v == pytest.approx(s.eval(0.5, [float(l) for l in lam]), rel=1e-14)
+
 
 class TestLemma7:
     def test_identity_matrix(self):
@@ -303,11 +309,12 @@ class TestIntegerImageMatchesReference:
         assert_same_series(build_psi_series(n, m, order), reference_psi(n, m, order))
 
     def test_eval_matches_fraction_coefficients(self):
-        # the float and Decimal values read the image exactly as the
-        # Fraction coefficients would be read, term by term
+        # the image and the Fraction coefficients contract to the same
+        # rationals, so their float values are identical; both are within
+        # rounding of the 50-digit value
         s = build_psi_series(4, 2, 8)
         ref = reference_psi(4, 2, 8)
         for x in (0.05, 0.5, 3.0):
-            want = sum(c.eval(x) * 1.5 ** q[0] * 0.25 ** q[1] for q, c in s.coeffs.items())
-            assert s.eval(x, [1.5, 0.25]) == want
-            assert ref.eval(x, [1.5, 0.25]) == want
+            want = float(s.eval_decimal(Fraction(x), [Fraction(1.5), Fraction(0.25)], prec=50))
+            assert s.eval(x, [1.5, 0.25]) == ref.eval(x, [1.5, 0.25])
+            assert s.eval(x, [1.5, 0.25]) == pytest.approx(want, rel=4e-16, abs=0)
