@@ -7,8 +7,8 @@ differential-operator structure behind them:
 
 * ``distribution`` -- determinantal quadrature route, exact truncated
   series route, and the determinantal closed forms (G-functions);
-* ``hgm``          -- Pfaffian ODE route on the quadrature route's
-  divided-difference rows (m(m+2) components);
+* ``hgm``          -- Taylor march of the Pfaffian system of the quadrature
+  route's divided-difference rows (m(m+2) components);
 * ``series_engine``, ``exp_poly`` -- exact series/coefficient arithmetic;
 * ``operators``    -- annihilating-operator verification (exact zeros);
 * ``h_integrals``  -- the kernel integrals and their recurrences;

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import distribution, h_integrals, hgm, mc_validator, operators
 from .distribution import EvalConfig, WishartParams
@@ -35,7 +35,8 @@ def _parse_lambdas(text: str, m: int) -> List[float]:
     return vals
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' parsers by name."""
     ap = argparse.ArgumentParser(
         prog="wishart-roots",
         description="Largest-root CDF/PDF of the noncentral complex Wishart "
@@ -90,22 +91,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=4)
     p_ver.add_argument("--m", type=int, default=2)
     p_ver.add_argument("--order", type=int, default=12)
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config_defaults(argv: Sequence[str], ap: argparse.ArgumentParser):
-    """Pre-parse --config and fold file values in as defaults."""
-    if "--config" not in argv:
-        return ap.parse_args(argv)
+def _parse_args(argv: Sequence[str], ap: argparse.ArgumentParser, commands: dict):
+    """Parse ``argv``; with --config, again with the file's values as the
+    subcommand's defaults, which argparse converts by the options' types and
+    explicit flags override.  Keys that name no option are ignored."""
     args = ap.parse_args(argv)
-    with open(args.config) as fh:
-        defaults = json.load(fh)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
-    return args
+    if args.config is None:
+        return args
+    sub = commands[args.command]
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        sub.error(f"--config {args.config}: {exc}")
+    values = {k.replace("-", "_"): v for k, v in values.items()}
+    for action in sub._actions:
+        value, flag = values.get(action.dest), action.nargs == 0  # flag: store_true
+        if value is None or not action.option_strings:
+            continue
+        if flag != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            sub.error(f"--config {args.config}: bad value {value!r} for {action.dest}")
+        # a string default is converted by the option's type, as a flag's value is
+        sub.set_defaults(**{action.dest: value if flag else str(value)})
+    return ap.parse_args(argv)
 
 
 def _check_options(args) -> None:
@@ -119,7 +132,7 @@ def _check_options(args) -> None:
 
 
 def _cfg_from_args(args, method: str) -> EvalConfig:
-    cfg = EvalConfig(method=method, hgm_rtol=min(args.tol, 1e-10))
+    cfg = EvalConfig(method=method)
     if args.order is not None:
         cfg.series_order = args.order
     elif args.m >= 3:
@@ -246,9 +259,9 @@ def cmd_verify(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = _build_parser()
+    ap, commands = _build_parser()
     try:
-        args = _apply_config_defaults(argv, ap)
+        args = _parse_args(argv, ap, commands)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -12,8 +12,8 @@ series     : evaluation of the exact truncated lam-series (fast and robust
              free).
 conjecture : the determinantal closed form built from hpg01 and the
              G-functions (levels 2..4), with the explicit front factor.
-hgm        : Pfaffian ODE integration (in wishart_roots.hgm; dispatched
-             from here).
+hgm        : Taylor steps of the Pfaffian system of the quadrature rows (in
+             wishart_roots.hgm; dispatched from here).
 
 Every determinant over the eigenvalues is the determinant of divided
 differences f_j[lam_1..lam_i] (``divided_rows``), summed as power series with
@@ -74,20 +74,18 @@ class WishartParams:
 class EvalConfig:
     method: str = "quadrature"
     series_order: int = 20
-    hgm_rtol: float = 1e-10
     experimental_m4: bool = False
 
 
-def _det(mat: List[List[float]]) -> float:
-    """LU determinant with partial pivoting (matrices here are tiny); the
-    entries may be floats or Decimals."""
+def _det(mat: List[List[Decimal]]) -> Decimal:
+    """LU determinant with partial pivoting of a small matrix of Decimals."""
     n = len(mat)
     a = [row[:] for row in mat]
     det = 1
     for c in range(n):
         piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if a[piv][c] == 0.0:
-            return 0.0
+        if a[piv][c] == 0:
+            return Decimal(0)
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             det = -det
@@ -213,14 +211,6 @@ def _border(n: int, x, m: int, r: int = 0) -> np.ndarray:
     return out
 
 
-def _det_dx(n: int, x: float, rows: List[List[float]]) -> float:
-    """d/dx det(H^{n-j}_N[lam_1..lam_i]) from those rows, each ending in its
-    divided difference of e^{-x} hpg01(N; x y), which times x^{n-j} is
-    d/dx H^{n-j}_N(x, y): the sum of the determinants with one row
-    differentiated is minus the bordered one."""
-    return -_det(rows + [_border(n, x, len(rows)).tolist()])
-
-
 # a determinant over float rows whose Skeel condition number exceeds COND_LIMIT
 # is taken again from rows summed in DECIMAL_DIGITS-digit decimals: each float
 # row carries a relative error of about 1e-16, and the determinant multiplies
@@ -322,7 +312,7 @@ def cdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> L
 def pdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """The x-derivative of ``cdf_quadrature``'s determinant, one bordered
     determinant over the same rows plus the divided differences of
-    e^{-x} hpg01(N; x lam) (``_det_dx``).  It raises ``NumericFailure`` where
+    e^{-x} hpg01(N; x lam) (``_border``).  It raises ``NumericFailure`` where
     that determinant leaves float range, once sum lam >~ 700 (outside the far
     tails)."""
     n, m = params.n, params.m
@@ -664,7 +654,7 @@ def _route_value(kind: str, params: WishartParams, x, cfg: EvalConfig):
     routes = {"quadrature": (cdf_quadrature, pdf_quadrature), "series": (cdf_series, pdf_series),
               "conjecture": (None, pdf_conjecture)}
     if cfg.method == "hgm":
-        from . import hgm  # hgm needs scipy; it also imports this module
+        from . import hgm  # hgm imports this module
 
         routes["hgm"] = (hgm.cdf_hgm, hgm.pdf_hgm)
     if cfg.method not in routes:

@@ -5,7 +5,7 @@
 with H^k_n = H^{k,0}_n.  These are the determinant entries of the
 largest-root CDF.  This module provides
 
-* numeric evaluation (term-wise gamma series, adaptive quadrature oracle),
+* numeric evaluation (term-wise gamma series),
 * the y-series of H^k_n with exact ExpPoly coefficients,
 * all printed recurrences between contiguous indices, as exact
   rational-function combinations (``HCombo``), and
@@ -26,11 +26,9 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from scipy.integrate import quad
-
 from .exp_poly import ExpPoly, Term, gamma_terms
 from .ratfunc import RatFunc
-from .special_fn import ConvergenceError, hpg01, incomplete_gamma
+from .special_fn import MAX_TERMS, ConvergenceError, PoissonTails, hpg01
 
 Atom = Tuple
 
@@ -40,10 +38,6 @@ _NV = 2
 
 def _rf_const(c) -> RatFunc:
     return RatFunc.const(_NV, c)
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,10 @@ class HCombo:
     def atoms(self):
         return self.coeffs.keys()
 
-    def eval(self, x: float, y: float, method: str = "series") -> float:
+    def eval(self, x: float, y: float) -> float:
         total = 0.0
         for a, c in self.coeffs.items():
-            total += c.eval([x, y]) * eval_atom(a, x, y, method)
+            total += c.eval([x, y]) * eval_atom(a, x, y)
         return total
 
     def __str__(self) -> str:
@@ -126,9 +120,9 @@ class HCombo:
     __repr__ = __str__
 
 
-def eval_atom(a: Atom, x: float, y: float, method: str = "series") -> float:
+def eval_atom(a: Atom, x: float, y: float) -> float:
     if a[0] == "H":
-        return h_eval(HIndex(a[1], a[2], a[3]), x, y, method=method)
+        return h_eval(HIndex(a[1], a[2], a[3]), x, y)
     return math.exp(-x) * hpg01(a[1], x * y)
 
 
@@ -136,45 +130,35 @@ def eval_atom(a: Atom, x: float, y: float, method: str = "series") -> float:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-def h_eval(idx: HIndex, x: float, y: float, method: str = "series") -> float:
-    """Numeric H^{k,l}_n(x, y).
-
-    ``series`` expands hpg01 term-wise, giving
-    sum_j y^j gamma(k+j+1, x) / ((n)_j j!) for l = 0 and a binomial
-    (x-t)^l expansion on top of it otherwise; all terms are positive for
-    l = 0, so this is the preferred route.  ``quad`` integrates the
-    definition adaptively (splitting at x/2 when l > 0) and serves as the
-    independent oracle.
-    """
+def h_eval(idx: HIndex, x: float, y: float) -> float:
+    """Numeric H^{k,l}_n(x, y), hpg01 expanded term-wise: the positive
+    series sum_j y^j gamma(k+j+1, x) / ((n)_j j!) for l = 0 and a binomial
+    (x-t)^l expansion on top of it otherwise."""
     if x < 0 or y < 0:
         raise ValueError("h_eval requires x >= 0 and y >= 0")
     if x == 0.0:
         return 0.0
-    if method == "series":
-        if idx.ell == 0:
-            return _h_series_value(idx.k, idx.n, x, y)
-        if x <= 5.0:
-            # term-wise in y with a beta-function series for the inner
-            # integral; mild alternation, well conditioned at small x
-            return _h_kl_beta_value(idx.k, idx.ell, idx.n, x, y)
-        # peel the (x - t) factors one at a time: H^{k,l} = x H^{k,l-1} -
-        # H^{k+1,l-1}; one mild subtraction per level, fine once the factor
-        # e^{-t} concentrates the mass well below t = x
-        memo: Dict[Tuple[int, int], float] = {}
+    if idx.ell == 0:
+        return _h_series_value(idx.k, idx.n, x, y)
+    if x <= 5.0:
+        # term-wise in y with a beta-function series for the inner
+        # integral; mild alternation, well conditioned at small x
+        return _h_kl_beta_value(idx.k, idx.ell, idx.n, x, y)
+    # peel the (x - t) factors one at a time: H^{k,l} = x H^{k,l-1} -
+    # H^{k+1,l-1}; one mild subtraction per level, fine once the factor
+    # e^{-t} concentrates the mass well below t = x
+    memo: Dict[Tuple[int, int], float] = {}
 
-        def val(k: int, ell: int) -> float:
-            if ell == 0:
-                return _h_series_value(k, idx.n, x, y)
-            got = memo.get((k, ell))
-            if got is None:
-                got = x * val(k, ell - 1) - val(k + 1, ell - 1)
-                memo[(k, ell)] = got
-            return got
+    def val(k: int, ell: int) -> float:
+        if ell == 0:
+            return _h_series_value(k, idx.n, x, y)
+        got = memo.get((k, ell))
+        if got is None:
+            got = x * val(k, ell - 1) - val(k + 1, ell - 1)
+            memo[(k, ell)] = got
+        return got
 
-        return val(idx.k, idx.ell)
-    if method == "quad":
-        return _h_quad_value(idx, x, y)
-    raise ValueError(f"unknown method {method!r}")
+    return val(idx.k, idx.ell)
 
 
 @lru_cache(maxsize=100_000)
@@ -208,36 +192,24 @@ def _h_kl_beta_value(k: int, ell: int, n: int, x: float, y: float) -> float:
 
 @lru_cache(maxsize=400_000)
 def _h_series_value(k: int, n: int, x: float, y: float) -> float:
+    """H^k_n(x, y) = sum_j gamma(k+j+1, x) y^j / ((n)_j j!), the quadrature
+    columns' sum: gamma(k+j+1, x) is (k+j)! P(k+j+1, x), read from one
+    ``PoissonTails``, so term j is P(k+j+1, x) k! (k+1)_j y^j / ((n)_j j!)
+    and no Gamma(a) is formed."""
+    tails = PoissonTails(x, k + int(y) + 2)
     total = 0.0
-    term_scale = 1.0  # y^j / ((n)_j j!)
-    for j in range(4000):
+    coef = float(math.factorial(k))  # k! (k+1)_j y^j / ((n)_j j!)
+    for j in range(MAX_TERMS):
         if j > 0:
-            term_scale *= y / ((n + j - 1) * j)
-        term = term_scale * incomplete_gamma(k + j + 1, x)
+            coef *= y * (k + j) / ((n + j - 1) * j)
+        tails.reach(k + j + 1)
+        term = coef * tails.values[k + j + 1]
         total += term
         if j > y and term < 1e-17 * total:
             return total
         if term == 0.0 and j > 2:
             return total
     raise ConvergenceError(f"H^{k}_{n} series did not converge at x={x}, y={y}")
-
-
-def _h_quad_value(idx: HIndex, x: float, y: float) -> float:
-    k, ell, n = idx.k, idx.ell, idx.n
-
-    def f(t: float) -> float:
-        return math.exp(-t) * t ** k * (x - t) ** ell * hpg01(n, t * y)
-
-    pieces = [(0.0, x)] if ell == 0 else [(0.0, x / 2.0), (x / 2.0, x)]
-    total = 0.0
-    err = 0.0
-    for a, b in pieces:
-        val, e = quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += val
-        err += e
-    if err > 1e-9 * (1.0 + abs(total)):
-        raise QuadratureError(f"H quadrature error {err} too large at {idx}, x={x}, y={y}")
-    return total
 
 
 def h_series_numerators(idx: HIndex, order: int) -> Tuple[List[Dict[Term, int]], List[int]]:

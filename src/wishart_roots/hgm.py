@@ -1,29 +1,27 @@
-"""Holonomic gradient route: the quadrature route's determinant rows, integrated in x.
+"""Holonomic gradient route: the quadrature route's determinant rows, marched in x.
 
-Per noncentrality eigenvalue y the functions
+Per noncentrality eigenvalue y, with N = n - m + 1 and the gauge s = x^N e^{-x}
+of Hashiguchi, Numata, Takayama and Takemura (2013), the functions
 
-    F_j = H^{n-j}_N(x, y) (j = 1..m),   u1 = hpg01(N; x y),   u2 = hpg01(N+1; x y),
+    F_j = H^{n-j}_N(x, y) (j = 1..m),   b1 = s hpg01(N; x y),   b2 = s hpg01(N+1; x y)
 
-with N = n - m + 1, obey a system in x that is linear in y:
-
-    F_j' = x^{n-j} e^{-x} u1,   u1' = (y/N) u2,   u2' = (N/x) (u1 - u2),
-
-the last two being x_block(N) gauged by diag(1, s, s), s = x^N e^{-x} (the
-scaling of Hashiguchi, Numata, Takayama and Takemura, 2013).  So the divided
-differences over each prefix lam_1..lam_k of the ascending eigenvalues close
-as well, by (y u2)[lam_1..lam_k] = lam_k u2[lam_1..lam_k] + u2[lam_1..lam_{k-1}]:
-the state is the m(m+2) divided differences of (F_1..F_m, u1, u2), all
-positive, so a relative tolerance alone controls it.  Its F part is the
-quadrature route's rows, so the CDF is front * det(rows) and the density the
-same bordered determinant as there, nothing is divided by the Vandermonde,
-and repeated, clustered and zero eigenvalues take one path.  Abscissas up to
-X0 take the state from the series (``divided_rows``), which is cheaper there
-than integrating; the others integrate from the last of them.
-
-The symbolic coefficients over the 3^m tensor products of the per-eigenvalue
-basis b0 = H^{N-1}_N, b1 = x^N e^{-x} u1, b2 = x^N e^{-x} u2
-(``extraction_vector`` for the CDF determinant, ``extraction_vector_dx`` for an
-x-derivative) serve the printed m = 2 coefficient table.
+obey x F_j' = x^{m-j} b1, x b1' = (N - x) b1 + x y b2 / N, x b2' = N b1 - x b2:
+x times ``x_block(N)``, whose basis is (b0, b1, b2) with b0 = F_m.  The
+system is linear in y, so the divided differences over each prefix
+lam_1..lam_k of the ascending eigenvalues close, by (y b2)[lam_1..lam_k] =
+lam_k b2[lam_1..lam_k] + b2[lam_1..lam_{k-1}]: the state is the m(m+2)
+divided differences of (F_1..F_m, b1, b2), and x y' = M(x) y with M a
+polynomial matrix of degree max(1, m-1) (``PfaffianSystem``).  Its Taylor
+coefficients obey a recurrence, so ``hgm_integrate`` steps it by summed Taylor
+series (van der Hoeven, "Fast evaluation of holonomic functions", 1999), with
+no integrator and no tolerance; the gauge keeps the state in float range up
+to sum lam ~ 700.  The F part is the quadrature route's rows, so the CDF is
+front * det(rows) and the density the same bordered determinant as there:
+nothing is divided by the Vandermonde, and repeated, clustered and zero
+eigenvalues take one path.  Abscissas up to X0 take the state from the
+series (``divided_rows``); the others are reached by one march from X0.
+The symbolic coefficients over the 3^m tensor products of (b0, b1, b2)
+(``extraction_vector``, ``extraction_vector_dx``) serve the printed m = 2 table.
 """
 
 from __future__ import annotations
@@ -31,22 +29,23 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .distribution import (EvalConfig, NumericFailure, WishartParams, _det, _det_dx, _fronted,
-                           _gridded, _h_coefs, _hpg01_coefs, _scale, _tails, _terms, divided_rows)
+from .distribution import (EvalConfig, NumericFailure, WishartParams, _border, _fronted, _gridded,
+                           _h_coefs, _hpg01_coefs, _on_positive, _scale, _tails, _terms, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
+from .special_fn import MAX_TERMS
 
 Idx = Tuple[int, ...]
 
-X0 = 2.0  # abscissas up to X0 take the series start; integrations start at or below it
+X0 = 2.0  # abscissas up to X0 take the series start; the march starts at X0
 
 
 def x_block(N: int) -> List[List[RatFunc]]:
@@ -74,9 +73,10 @@ def lam_block(N: int) -> List[List[RatFunc]]:
 
 @dataclass
 class PfaffianSystem:
-    """x-system for (n, m): the divided differences of (F_1..F_m, u1, u2)
-    over each prefix of the ascending eigenvalues, stacked prefix by prefix
-    into an m(m+2)-vector."""
+    """x-system for (n, m): x y' = M(x) y over the divided differences of
+    (F_1..F_m, b1, b2) over each prefix of the ascending eigenvalues, stacked
+    prefix by prefix into an m(m+2)-vector, with M(x) = sum_i x^i M_i read
+    off x ``x_block(N)``."""
 
     n: int
     m: int
@@ -85,76 +85,101 @@ class PfaffianSystem:
         if not (self.n > self.m >= 1):
             raise ValueError("requires n > m >= 1 so that N = n-m+1 > 1")
         self.N = self.n - self.m + 1
+        x = RatFunc(MPoly.var(2, 0))
+        # (i, e, a, b, c): c x^i lam^e is a term of entry (a, b) of x A; e <= 1
+        self.terms = [(i, e, a, b, float(c)) for a, row in enumerate(x_block(self.N))
+                      for b, entry in enumerate(row) for (i, e), c in (x * entry).as_poly().terms.items()]
+        self.degree = max(i + (self.m - 1 if a == 0 else 0) for i, _, a, *_ in self.terms)
+        self._memo: Dict[Tuple[float, ...], np.ndarray] = {}
+
+    def matrices(self, lambdas: Sequence[float]) -> np.ndarray:
+        """M_0..M_degree, an array (degree+1, m(m+2), m(m+2)), ``lambdas``
+        ascending.  Slot (b0, b1, b2) of prefix k is its (F_m, b1, b2); the
+        F_j row is x^{m-j} times the b0 row, since F_j' = x^{m-j} F_m'; and a
+        lam-linear entry c lam acts on prefix k as c lam_k on prefix k plus c
+        on prefix k-1, the Leibniz rule of divided differences."""
+        key = tuple(lambdas)
+        if key not in self._memo:
+            m, d = self.m, self.m + 2
+            out = np.zeros((self.degree + 1, m * d, m * d))
+            for k, lam in enumerate(key):
+                for i, e, a, b, c in self.terms:  # slot a of a prefix is its component m-1+a
+                    rows = [(i + m - 1 - j, k * d + j) for j in range(m)] if a == 0 else [(i, k * d + m - 1 + a)]
+                    for power, r in rows:
+                        out[power, r, k * d + m - 1 + b] += c * lam ** e
+                        if e and k:
+                            out[power, r, (k - 1) * d + m - 1 + b] += c
+            self._memo[key] = out
+        return self._memo[key]
 
     def rhs(self, x: float, state: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-        """The state's x-derivative, ``lambdas`` ascending.  In plain floats:
-        a state of m(m+2) numbers is too small to pay for numpy calls."""
-        m, N = self.m, self.N
-        s = state.tolist()
-        weights = [math.exp((N - 1) * math.log(x) - x)]  # x^{n-j} e^{-x}, j = m..1
-        for _ in range(1, m):
-            weights.append(weights[-1] * x)
-        weights.reverse()
-        out = []
-        u2 = 0.0
-        for k, lam in enumerate(lambdas):
-            u1, prev, u2 = s[k * (m + 2) + m], u2, s[k * (m + 2) + m + 1]
-            out += [u1 * w for w in weights]
-            # (y u2)[lam_1..lam_k] = lam_k u2[lam_1..lam_k] + u2[lam_1..lam_{k-1}]
-            out += ((lam * u2 + prev) / N, (N / x) * (u1 - u2))
-        return np.array(out)
+        """The state's x-derivative M(x) y / x, ``lambdas`` ascending."""
+        return sum(x ** i * mi for i, mi in enumerate(self.matrices(lambdas))) @ state / x
 
 
 @dataclass
 class HgmState:
     x: float
-    values: np.ndarray  # (F_1..F_m, u1, u2) divided differences, prefix by prefix
+    values: np.ndarray  # (F_1..F_m, b1, b2) divided differences, prefix by prefix
 
 
-def initial_state(params: WishartParams, x0: float, cfg: EvalConfig | None = None) -> HgmState:
-    """The state at a small abscissa, summed from the power series in y by
-    ``divided_rows``: the rows of H^{n-j}_N (the quadrature route's without
-    its 1/(n-m)!, over one tail array at x0) plus the hpg01 columns."""
-    if not (0 < x0 <= X0):
-        raise ValueError(f"initial abscissa must satisfy 0 < x0 <= {X0}")
+def initial_state(params: WishartParams, x0, cfg: EvalConfig | None = None):
+    """The state at 0 < x0 <= X0 (a float, giving an ``HgmState``), or at
+    each of a sequence of them (giving a list), by one ``divided_rows`` call:
+    the quadrature route's H^{n-j}_N rows without their 1/(n-m)!, and the
+    gauged hpg01 columns."""
+    x = np.array([x0] if isinstance(x0, numbers.Real) else x0, dtype=float)
+    if not ((0 < x) & (x <= X0)).all():
+        raise ValueError(f"initial abscissas must satisfy 0 < x0 <= {X0}")
     N = params.n - params.m + 1
-    x, s = np.array([x0], dtype=float), float(_scale(params.lambdas))
+    s, gauge = float(_scale(params.lambdas)), np.exp(N * np.log(x) - x)
     tails = _tails(params, x)
 
     def coefs(L):
-        u = [_hpg01_coefs(nu, x, s, L, 1.0)[:, None] for nu in (N, N + 1)]
-        return np.concatenate([_h_coefs(params, tails, L)] + u, axis=1)
+        b = [_hpg01_coefs(nu, x, s, L, gauge)[:, None] for nu in (N, N + 1)]
+        return np.concatenate([_h_coefs(params, tails, L)] + b, axis=1)
 
-    return HgmState(x0, divided_rows(coefs, params.lambdas, _terms(params, x0))[0].ravel())
+    rows = divided_rows(coefs, params.lambdas, _terms(params, x.max()))
+    states = [HgmState(v, r.ravel()) for v, r in zip(x.tolist(), rows)]
+    return states[0] if isinstance(x0, numbers.Real) else states
 
 
-def hgm_integrate(
-    sys: PfaffianSystem,
-    start: HgmState,
-    x_target: float,
-    lambdas: Sequence[float],
-    cfg: EvalConfig | None = None,
-) -> HgmState:
-    """Adaptive embedded Runge-Kutta 5(4) along x at fixed lam, with a
-    relative tolerance only."""
-    cfg = cfg or EvalConfig()
-    if not 0 < cfg.hgm_rtol < math.inf:  # solve_ivp never ends at a NaN tolerance
-        raise ValueError(f"hgm_rtol must be a positive finite number, got {cfg.hgm_rtol}")
-    if x_target == start.x:
-        return HgmState(start.x, start.values.copy())
+def hgm_integrate(sys: PfaffianSystem, start: HgmState, x_target: float, lambdas: Sequence[float],
+                  cfg: EvalConfig | None = None) -> HgmState:
+    """March the state from ``start.x`` to ``x_target`` (both positive) by
+    Taylor steps of x y' = M(x) y.  At a centre c, with M(c+t) = sum_j P_j t^j
+    and y(c+t) = sum_k a_k t^k, c (k+1) a_{k+1} = sum_j P_j a_{k-j} - k a_k;
+    the terms a_k h^k are formed directly, one mat-vec each, and summed until
+    m+1 in a row are, component by component, at most 1e-17 of the sum.  The
+    step is h = min(c/2, 4/(1 + sqrt(lam_max/c)), the distance left): half the
+    distance to the singular point x = 0, and a bound on h times the growth
+    rate sqrt(lam/x) of hpg01(N; x lam)."""
+    if not (0 < start.x < math.inf and 0 < x_target < math.inf):
+        raise ValueError(f"the march runs between finite positive abscissas, not to {x_target}")
     lam = sorted(float(v) for v in lambdas)  # the prefixes ascend
-    sol = solve_ivp(
-        lambda t, y: sys.rhs(t, y, lam),
-        (start.x, x_target),
-        start.values,
-        method="RK45",
-        rtol=cfg.hgm_rtol,
-        atol=0.0,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise NumericFailure(f"HGM integration failed: {sol.message}")
-    return HgmState(x_target, sol.y[:, -1])
+    mats = sys.matrices(lam)
+    deg, d = len(mats) - 1, mats.shape[1]
+    c, y = start.x, start.values.copy()
+    while c != x_target:
+        h = min(c / 2, 4 / (1 + math.sqrt(lam[-1] / c)))
+        end = abs(x_target - c) <= h
+        h = math.copysign(abs(x_target - c) if end else h, x_target - c)
+        # [P_0, P_1 h, .., P_deg h^deg] h / c, with P_j = sum_i C(i, j) c^(i-j) M_i
+        step = np.concatenate([sum(math.comb(i, j) * c ** (i - j) * mats[i] for i in range(j, deg + 1))
+                               * (h ** (j + 1) / c) for j in range(deg + 1)], axis=1)
+        window = np.concatenate([y, np.zeros(deg * d)])  # a_k h^k, .., a_{k-deg} h^(k-deg)
+        quiet = 0
+        for k in range(MAX_TERMS):
+            term = (step @ window - (h / c * k) * window[:d]) / (k + 1)
+            y += term
+            window = np.concatenate([term, window[:-d]])
+            quiet = quiet + 1 if (np.abs(term) <= 1e-17 * np.abs(y)).all() else 0
+            if quiet > sys.m:
+                break
+        else:
+            raise NumericFailure(f"the Taylor series of the Pfaffian system did not converge at x = {c}")
+        c = x_target if end else c + h
+    return HgmState(c, y)
 
 
 # ---------------------------------------------------------------------------
@@ -250,75 +275,75 @@ def extraction_vector_dx(
 # distribution values through the Pfaffian route
 # ---------------------------------------------------------------------------
 
+def _march(params: WishartParams, x: np.ndarray) -> np.ndarray:
+    """The states at the abscissas x > 0, an array (x, m, m+2) in their
+    order: those up to X0 from the series, the others by one march from X0."""
+    m = params.m
+    sys = PfaffianSystem(params.n, m)
+    ascending = np.sort(x)  # a NaN sorts last and is refused by the march
+    near = ascending[ascending <= X0].tolist()
+    states = initial_state(params, near + [X0])
+    for v in ascending[len(near):].tolist():
+        states.append(hgm_integrate(sys, states[-1], v, params.lambdas))
+    del states[len(near)]  # the start of the march
+    w = np.empty((x.size, m, m + 2))
+    w[np.argsort(x, kind="stable")] = [st.values.reshape(m, m + 2) for st in states]
+    return w
+
+
+def _dx_dets(params: WishartParams, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d/dx det(H^{n-j}_N[lam_1..lam_i]) from the states ``w`` at ``x``:
+    minus the determinant of the rows (F_1..F_m, b1) bordered, as in
+    ``pdf_quadrature``, by x^{m-1-j}, since x^{m-1-j} b1 = x^{n-j} e^{-x} u1."""
+    m = params.m
+    return -np.linalg.det(np.concatenate([w[:, :, :m + 1], _border(m - 1, x, m)[:, None]], axis=1))
+
+
+def _fronted_dets(params: WishartParams, dets: np.ndarray) -> List[float]:
+    scale = math.factorial(params.n - params.m) ** params.m  # the 1/(n-m)! of each quadrature row
+    return [_fronted(params, d / scale) for d in dets.tolist()]
+
+
 @_gridded
 def pdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
-    return [row[3] for row in trajectory(params, xs, cfg, what="R")]
+    return _on_positive(xs, 0.0, lambda x: _fronted_dets(params, _dx_dets(params, x, _march(params, x))))
 
 
 @_gridded
 def cdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
-    return [row[3] for row in trajectory(params, xs, cfg, what="F")]
+    def values(x):
+        dets = np.linalg.det(_march(params, x)[:, :, :params.m])
+        return [min(max(v, 0.0), 1.0) for v in _fronted_dets(params, dets)]
+
+    return _on_positive(xs, 0.0, values)
 
 
-def trajectory(
-    params: WishartParams,
-    xs: Sequence[float],
-    cfg: EvalConfig | None = None,
-    what: str = "R",
-) -> List[Tuple[float, np.ndarray, float, float]]:
-    """March once through the abscissas in increasing order; returns
-    (x, basis values, determinant value, distribution value) per abscissa,
-    in the order given.
+def trajectory(params: WishartParams, xs: Sequence[float],
+               cfg: EvalConfig | None = None) -> List[Tuple[float, np.ndarray, float, float]]:
+    """The ``hgm`` dump: one march through the abscissas in increasing order;
+    returns (x, basis values, R, density) per abscissa, in the order given.
 
     The basis values are the 3^m products of the eigenvalues' (b0, b1, b2),
-    eigenvalues descending, C-order over {0,1,2}^m.  With E_ij =
-    H^{n-j}_N(x, lam_i), ``what`` "R" gives R = d/dx det(E) and the density,
-    "F" det(E) and the CDF, clamped to [0, 1].  det(E) is the
-    divided-difference determinant times the signed Vandermonde product, a
-    multiplication that gives zero at repeated eigenvalues.  Abscissas x <= 0
-    give zeros.
+    eigenvalues descending, C-order over {0,1,2}^m.  R = d/dx det(E), with
+    E_ij = H^{n-j}_N(x, lam_i), is the bordered divided-difference
+    determinant times the signed Vandermonde product, a multiplication that
+    gives zero at repeated eigenvalues.  The abscissa x = 0 gives zeros.
     """
-    cfg = cfg or EvalConfig()
-    n, m = params.n, params.m
-    if n == m:
-        raise ValueError("the Pfaffian basis needs n > m (N = n-m+1 > 1)")
-    if what not in ("R", "F"):
-        raise ValueError("what must be 'R' or 'F'")
-    if not all(map(math.isfinite, xs)):
-        raise ValueError("abscissas must be finite")
-    given, xs = xs, sorted(xs)
-    out = [(x, np.zeros(3 ** m), 0.0, 0.0) for x in xs if x <= 0]
-    xs = xs[len(out):]
-    sys = PfaffianSystem(n, m)
-    N = sys.N
-    lam = params.lambdas
+    m, lam = params.m, params.lambdas
     mu = lam[::-1]
     vandermonde = math.prod(b - a for a, b in itertools.combinations(lam, 2))
-    scale = math.factorial(n - m) ** m  # the 1/(n-m)! of each quadrature row
     # Newton form f(mu_i) = sum_k f[mu_1..mu_k] prod_{t<k} (mu_i - mu_t): for
     # ascending mu no term is negative (k > i gives 0); rows in the order of lam
     newton = np.array([[math.prod(mu[i] - mu[t] for t in range(k)) for k in range(m)]
                        for i in reversed(range(m))])
-    state = initial_state(params, min(X0, xs[0]), cfg) if xs else None
-    for x in xs:
-        if x > X0:
-            state = hgm_integrate(sys, state, x, lam, cfg)
-        elif x != state.x:
-            state = initial_state(params, x, cfg)
-        w = state.values.reshape(m, m + 2)
-        rows = w[:, :m].tolist()
-        if what == "F":
-            det = _det(rows)
-            dist = min(max(_fronted(params, det / scale), 0.0), 1.0)
-        else:
-            g = (math.exp(-x) * w[:, m]).tolist()
-            det = _det_dx(n, x, [row + [gi] for row, gi in zip(rows, g)])
-            dist = _fronted(params, det / scale)
-        s = math.exp(N * math.log(x) - x)
-        basis = newton @ w[:, m - 1:] * (1.0, s, s)  # H^{n-m}_N is b0 = H^{N-1}_N
-        out.append((x, functools.reduce(np.kron, basis), vandermonde * det, dist))
-    rows = {row[0]: row for row in out}
-    return [rows[x] for x in given]
+
+    def rows(x):
+        w = _march(params, x)
+        basis = [functools.reduce(np.kron, b) for b in newton @ w[:, :, m - 1:]]  # b0 = F_m
+        dets = _dx_dets(params, x, w)
+        return list(zip(basis, (vandermonde * dets).tolist(), _fronted_dets(params, dets)))
+
+    return [(x, *row) for x, row in zip(xs, _on_positive(list(xs), (np.zeros(3 ** m), 0.0, 0.0), rows))]
 
 
 # ---------------------------------------------------------------------------

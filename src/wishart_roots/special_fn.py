@@ -233,9 +233,11 @@ def marcum_q(n: int, x: float, y: float) -> float:
         Q_n(x, y) = sum_{k>=0} pois_k(x) * CP(n+k-1, y)
 
     with pois_k(x) = e^{-x} x^k / k! and CP(j, y) = e^{-y} sum_{i<=j} y^i/i!.
-    Both factor sequences are computed by stable upward recurrences; since
-    CP <= 1, the truncation error after cumulative Poisson mass 1 - eps is
-    below eps, so we stop once 1 - sum_k pois_k < 1e-14.
+    Both factor sequences are computed by stable upward recurrences.  Since
+    CP(j, y) / CP(j-1, y) <= 1 + y/j, the ratio of consecutive terms after
+    term k is at most r = x/(k+1) (1 + y/(n+k)), which falls with k; once
+    r < 1 the tail is at most term_k r/(1-r), and the sum stops when that is
+    below 1e-17 of it, so a value far out in the upper tail keeps its digits.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("marcum_q requires integer n >= 1")
@@ -243,25 +245,22 @@ def marcum_q(n: int, x: float, y: float) -> float:
         raise ValueError("marcum_q requires x >= 0 and y >= 0")
 
     pois = math.exp(-x)  # pois_0
-    pois_cum = pois
     # CP(n-1, y) and the next increment e^{-y} y^{n}/n!
     cp_term = math.exp(-y)
     cp = cp_term
     for i in range(1, n):
         cp_term *= y / i
         cp += cp_term
-    next_inc = cp_term * y / n if n >= 1 else cp_term
+    inc = cp_term * y / n
 
-    total = pois * cp
-    k = 0
-    inc = next_inc
-    while 1.0 - pois_cum >= 1e-14:
-        k += 1
-        if k > MAX_TERMS:
-            raise ConvergenceError(f"marcum_q({n}, {x}, {y}) did not converge")
-        pois *= x / k
-        pois_cum += pois
+    total = term = pois * cp
+    for k in range(MAX_TERMS):
+        r = x / (k + 1) * (1 + y / (n + k))
+        if r < 1 and term * r <= (1 - r) * 1e-17 * total:
+            return min(total, 1.0)
+        pois *= x / (k + 1)
         cp += inc
-        inc *= y / (n + k)
-        total += pois * cp
-    return min(total, 1.0)
+        inc *= y / (n + k + 1)
+        term = pois * cp
+        total += term
+    raise ConvergenceError(f"marcum_q({n}, {x}, {y}) did not converge")

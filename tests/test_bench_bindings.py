@@ -82,7 +82,7 @@ def test_curves_hgm_operations_match_quadrature():
         p = WishartParams(op["n"], op["m"], op["lambdas"])
         for r in rows:
             ref = pdf_quadrature(p, float(r[0]), EvalConfig())
-            assert float(r[col]) == pytest.approx(ref, rel=1e-8, abs=0)
+            assert float(r[col]) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_curves_series_operations_match_quadrature():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -378,3 +380,49 @@ class TestConfigFile:
                                "--method", "quadrature")
         assert code == 0
         assert out.splitlines()[1].split(",")[2] == "quadrature"
+
+    def test_equals_form_of_the_flag(self, capsys, tmp_path):
+        cfgfile = tmp_path / "defaults.json"
+        cfgfile.write_text(json.dumps({"method": "series"}))
+        code, out, _ = run_cli(capsys, "cdf", f"--config={cfgfile}",
+                               "--n", "4", "--m", "2", "--lambda", "1,0.4", "--x", "2")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "series"
+
+    def test_explicit_lambda_wins(self, capsys, tmp_path):
+        cfgfile = tmp_path / "defaults.json"
+        cfgfile.write_text(json.dumps({"lambdas": "9,9", "x": 1}))
+        argv = ("pdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "5")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfgfile))
+        assert code == 0 and out == plain
+
+    def test_values_take_the_option_types(self, capsys, tmp_path):
+        cfgfile = tmp_path / "defaults.json"
+        cfgfile.write_text(json.dumps({"tol": "1e-3", "order": "7", "json": True}))
+        code, out, _ = run_cli(capsys, "pdf", "--config", str(cfgfile), "--n", "4", "--m", "2",
+                               "--lambda", "2,1", "--x", "5")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["x"] == 5.0 and row["method"] == "quadrature"
+        args = cli._parse_args(["pdf", "--config", str(cfgfile), "--n", "4", "--m", "2",
+                                "--lambda", "2,1", "--x", "5"], *cli._build_parser())
+        assert (args.tol, args.order, args.json) == (1e-3, 7, True)
+
+    @pytest.mark.parametrize("content", ['{"tol": "abc"}', "[1, 2]", "{not json", '{"json": "yes"}',
+                                         '{"tol": [1]}', None])
+    def test_bad_file_is_usage_error(self, capsys, tmp_path, content):
+        cfgfile = tmp_path / "defaults.json"
+        if content is not None:
+            cfgfile.write_text(content)
+        code, out, err = run_cli(capsys, "cdf", "--config", str(cfgfile),
+                                 "--n", "4", "--m", "2", "--lambda", "1,0.4", "--x", "2")
+        assert code == 1 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: the command must not import it
+    probe = "import sys, wishart_roots.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -60,8 +60,6 @@ class TestParams:
                 pdf(p, bad, EvalConfig(method=method))
         with pytest.raises(ValueError):
             trajectory(p, [1.0, bad])
-        with pytest.raises(ValueError):
-            pdf(p, 3.0, EvalConfig(method="hgm", hgm_rtol=bad))
 
 
 class TestCdf:
@@ -79,6 +77,11 @@ class TestCdf:
         # frozen: 1 - Q_2(1, 3) from quadrature of the defining integral
         p = WishartParams(2, 1, (1.0,))
         assert cdf(p, 3.0, CFG) == pytest.approx(0.5844236896634067, rel=1e-10)
+
+    def test_marcum_upper_tail_is_relative(self):
+        # Q_3(2, 60) = 1.1268471296774975e-17 (the series at 60 digits): far
+        # below any absolute stopping rule on the Poisson mass
+        assert marcum_q(3, 2.0, 60.0) == pytest.approx(1.1268471296774975e-17, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0), (4, 2.5)])
     def test_marcum_identity_grid(self, n, lam):
@@ -240,6 +243,13 @@ class TestYSolutions:
             r = q_residual(N, N - M, x, y, f)
             scale = max(abs(v) for v in f.d) + 1
             assert abs(r) < 1e-10 * scale
+
+    def test_large_x(self):
+        # the V atom is H^0_{N+1}(y, x) at x = 300, whose series reads
+        # P(a, 5) beyond a = 171, where Gamma(a) overflows
+        f = y_solution_jet(4, 2, 300.0, 5.0, 3)
+        assert math.isfinite(y_solution(4, 2, 300.0, 5.0)) and f.d[0] > 0
+        assert abs(q_residual(4, 2, 300.0, 5.0, f)) < 1e-10 * max(abs(v) for v in f.d)
 
     @pytest.mark.parametrize("N", [3, 4, 6])
     def test_lowering_map(self, N):

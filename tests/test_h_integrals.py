@@ -48,11 +48,15 @@ class TestHEval:
 
     @pytest.mark.parametrize("idx", [(0, 0, 1), (2, 0, 3), (3, 2, 4), (2, 1, 3), (1, 3, 2)])
     @pytest.mark.parametrize("pt", [(2.0, 1.5), (0.5, 0.3), (5.0, 2.0)])
-    def test_series_equals_quadrature(self, idx, pt):
+    def test_series_equals_quadrature(self, idx, pt, h_quad):
         i = HIndex(*idx)
-        s = h_eval(i, *pt, method="series")
-        q = h_eval(i, *pt, method="quad")
-        assert rel_close(s, q, 1e-9)
+        assert rel_close(h_eval(i, *pt), h_quad(i, *pt), 1e-9)
+
+    @pytest.mark.parametrize("y", [200.0, 400.0])
+    def test_large_noncentrality_matches_quadrature(self, y, h_quad):
+        # the series needs P(a, x) beyond a = 171, where Gamma(a) overflows
+        i = HIndex(3, 0, 4)
+        assert h_eval(i, 5.0, y) == pytest.approx(h_quad(i, 5.0, y), rel=1e-10)
 
     def test_x_zero(self):
         assert h_eval(HIndex(2, 0, 3), 0.0, 1.0) == 0.0

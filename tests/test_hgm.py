@@ -1,11 +1,12 @@
 import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wishart_roots.distribution import (EvalConfig, NumericFailure, WishartParams, cdf_quadrature,
-                                        pdf_quadrature)
+from wishart_roots.distribution import EvalConfig, WishartParams, cdf_quadrature, pdf_quadrature
 from wishart_roots.h_integrals import HIndex, h_eval
 from wishart_roots.hgm import (
     X0,
@@ -90,16 +91,15 @@ class TestBlocks:
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)
 
 
-def gauged_block(N, x, lam):
-    """Reference: x_block(N) evaluated from its RatFuncs and conjugated by
-    S = diag(1, s, s), s = x^N e^{-x}: S^{-1} (A S - S'), returned with the
-    magnitudes |S^{-1} A S| + |S^{-1} S'| that bound its rounding."""
-    s = x ** N * math.exp(-x)
-    S = np.diag([1.0, s, s])
-    dS = np.diag([0.0, (N / x - 1) * s, (N / x - 1) * s])
-    S_inv = np.diag([1.0, 1 / s, 1 / s])
-    A = eval_mat(x_block(N), x, lam)
-    return S_inv @ (A @ S - dS), np.abs(S_inv @ A @ S) + np.abs(S_inv @ dS)
+def block(N, x, lam):
+    """Reference: x_block(N) evaluated from its RatFuncs (the state is in
+    its basis), returned with the magnitudes that bound its rounding, each
+    entry's sum of |terms| over its denominator."""
+    def magnitude(rf):
+        num = sum(abs(float(c)) * x ** i * lam ** e for (i, e), c in rf.num.terms.items())
+        return num / abs(rf.den.eval([x, lam]))
+
+    return eval_mat(x_block(N), x, lam), np.array([[magnitude(c) for c in row] for row in x_block(N)])
 
 
 class TestSystem:
@@ -110,8 +110,8 @@ class TestSystem:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_lowered_rhs_matches_symbolic(self, m, N):
-        # prefix k against x_block(N) conjugated by diag(1, s, s) on
-        # (F_m, u1, u2), with the Leibniz rule of a block linear in lam:
+        # prefix k against x_block(N) on (F_m, b1, b2), with the Leibniz
+        # rule of a block linear in lam:
         # (G w)[lam_1..lam_k] = G(lam_k) w[lam_1..lam_k] + G' w[lam_1..lam_{k-1}];
         # F_j' is x^{m-j} times F_m'
         sys = PfaffianSystem(N + m - 1, m)
@@ -122,11 +122,11 @@ class TestSystem:
                 got = sys.rhs(x, state, lambdas)
                 assert got.shape == (m * (m + 2),)
                 got, w = got.reshape(m, m + 2), state.reshape(m, m + 2)
-                dG = gauged_block(N, x, 1.0)[0] - gauged_block(N, x, 0.0)[0]
+                dG = block(N, x, 1.0)[0] - block(N, x, 0.0)[0]
                 prev = np.zeros(3)
                 for k, lam in enumerate(lambdas):
                     wk = w[k, m - 1:]
-                    G, mag = gauged_block(N, x, lam)
+                    G, mag = block(N, x, lam)
                     expect = G @ wk + dG @ prev
                     # float64 rounding of a few products and sums per entry
                     err = np.abs(got[k, m:] - expect[1:])
@@ -148,29 +148,28 @@ class TestSystem:
             got = sys.rhs(x, initial_state(p, x, CFG).values, sorted(lams))
             assert got == pytest.approx(fd, rel=1e-7, abs=0)
 
-    def test_initial_state_matches_quadrature(self):
+    def test_initial_state_matches_quadrature(self, h_quad):
         p = WishartParams(4, 1, (1.0,))
         st = initial_state(p, 0.5, CFG)
         N = 4
-        s = 0.5 ** N * math.exp(-0.5)
         assert st.values.shape == (3,)
-        assert st.values[0] == pytest.approx(basis_value(N, 0, 0.5, 1.0), rel=1e-12)
-        for a in (1, 2):
-            assert st.values[a] * s == pytest.approx(basis_value(N, a, 0.5, 1.0), rel=1e-12)
+        for a in (0, 1, 2):
+            assert st.values[a] == pytest.approx(basis_value(N, a, 0.5, 1.0), rel=1e-12)
         # H component against the quadrature oracle
-        ref = h_eval(HIndex(N - 1, 0, N), 0.5, 1.0, method="quad")
-        assert st.values[0] == pytest.approx(ref, rel=1e-9)
+        assert st.values[0] == pytest.approx(h_quad(HIndex(N - 1, 0, N), 0.5, 1.0), rel=1e-9)
 
     def test_initial_state_stacks_slots(self):
         # prefix k holds the divided differences over the k smallest
-        # eigenvalues of (H^{n-1}_N .. H^{n-m}_N, hpg01(N; x y), hpg01(N+1; x y))
+        # eigenvalues of (H^{n-1}_N .. H^{n-m}_N, s hpg01(N; x y), s hpg01(N+1; x y)),
+        # s = x^N e^{-x}
         p = WishartParams(5, 3, (3.0, 2.0, 1.0))
         st = initial_state(p, 0.5, CFG)
         assert st.values.shape == (15,)
+        s = 0.5 ** 3 * math.exp(-0.5)
 
         def f(lam):
             return np.array([h_eval(HIndex(5 - j, 0, 3), 0.5, lam) for j in (1, 2, 3)]
-                            + [hpg01(3, 0.5 * lam), hpg01(4, 0.5 * lam)])
+                            + [s * hpg01(3, 0.5 * lam), s * hpg01(4, 0.5 * lam)])
 
         f1, f2, f3 = f(1.0), f(2.0), f(3.0)
         expect = [f1, f2 - f1, ((f3 - f2) - (f2 - f1)) / 2]
@@ -183,7 +182,7 @@ class TestSystem:
         st = initial_state(p, 0.5, CFG)
         N = 3
         assert st.values[0] == pytest.approx(incomplete_gamma(N, 0.5), rel=1e-12)
-        assert list(st.values[1:]) == [1.0, 1.0]
+        assert st.values[1:] == pytest.approx([0.5 ** N * math.exp(-0.5)] * 2, rel=1e-15)
 
     def test_zero_length_integration(self):
         p = WishartParams(4, 2, (2.0, 1.0))
@@ -193,24 +192,33 @@ class TestSystem:
         assert np.array_equal(out.values, st.values)
 
     def test_m1_component_against_direct(self):
-        # integrate (n, lam) = (4, 1) from 0.5 to 5: every component must
+        # march (n, lam) = (4, 1) from 0.5 to 5: every component must
         # match its closed form
         p = WishartParams(4, 1, (1.0,))
         sys = PfaffianSystem(4, 1)
         st = initial_state(p, 0.5, CFG)
         out = hgm_integrate(sys, st, 5.0, p.lambdas, CFG)
-        assert out.values == pytest.approx(
-            [h_eval(HIndex(3, 0, 4), 5.0, 1.0), hpg01(4, 5.0), hpg01(5, 5.0)], rel=1e-8)
+        assert out.values == pytest.approx([basis_value(4, a, 5.0, 1.0) for a in range(3)], rel=1e-12)
 
     def test_reversibility_under_tolerance(self):
-        cfg = EvalConfig(hgm_rtol=1e-12)
         p = WishartParams(4, 2, (2.0, 1.0))
         sys = PfaffianSystem(4, 2)
-        st = initial_state(p, 0.5, cfg)
-        fwd = hgm_integrate(sys, st, 2.0, p.lambdas, cfg)
-        back = hgm_integrate(sys, fwd, 0.5, p.lambdas, cfg)
+        st = initial_state(p, 0.5, CFG)
+        fwd = hgm_integrate(sys, st, 2.0, p.lambdas, CFG)
+        back = hgm_integrate(sys, fwd, 0.5, p.lambdas, CFG)
         rel = np.abs(back.values - st.values) / np.abs(st.values)
-        assert np.max(rel) < 1e-9
+        assert np.max(rel) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matrices_are_polynomial_of_degree(self, m):
+        # x y' = M(x) y with M of degree max(1, m-1); rhs is M(x) y / x
+        sys = PfaffianSystem(m + 2, m)
+        lams = [0.5 * k for k in range(m)]
+        mats = sys.matrices(lams)
+        assert mats.shape == (max(1, m - 1) + 1, m * (m + 2), m * (m + 2))
+        y = np.arange(1.0, m * (m + 2) + 1)
+        x = 1.7
+        assert sys.rhs(x, y, lams) == pytest.approx(sum(x ** i * M for i, M in enumerate(mats)) @ y / x)
 
 
 def eval_extraction(coeffs, x, values, lambdas):
@@ -258,13 +266,16 @@ class TestExtraction:
     @pytest.mark.parametrize("what", ["R", "F"])
     @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 1.0)), (5, 3, (3.0, 2.0, 1.0))])
     def test_determinant_matches_symbolic_extraction(self, what, n, m, lams):
-        # the float determinant against the multilinear extraction over the
-        # tensor products of the returned basis values
+        # the float determinants against the multilinear extraction over the
+        # tensor products of the returned basis values: R from the march, and
+        # det(E) from the entries E_ij = H^{n-j}_N(x, lam_i) themselves
         p = WishartParams(n, m, lams)
         coeffs = extraction_vector(p)
         if what == "R":
             coeffs = extraction_vector_dx(p, coeffs)
-        for x, values, value, _ in trajectory(p, [2.0, 6.0, 12.0], CFG, what=what):
+        for x, values, R, _ in trajectory(p, [2.0, 6.0, 12.0], CFG):
+            E = [[h_eval(HIndex(n - j, 0, n - m + 1), x, lam) for j in range(1, m + 1)] for lam in lams]
+            value = R if what == "R" else np.linalg.det(E)
             assert value == pytest.approx(eval_extraction(coeffs, x, values, p.lambdas), rel=1e-7)
 
 
@@ -289,13 +300,25 @@ class TestDistributionValues:
         for x, values, R, psi in rows:
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-6)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_integration_failure_is_numeric_failure(self):
-        # the state overflows on the way to x = 440 at lam = 400 and the
-        # step size collapses; this pins the refusal while the route does
-        # not serve such lam (the density there is 0.005829)
-        with pytest.raises(NumericFailure, match="HGM integration failed"):
-            pdf_hgm(WishartParams(3, 1, (400.0,)), 440.0, CFG)
+    @pytest.mark.parametrize("n,m,lams,expect", [(4, 2, "400,300", 0.0079856418),
+                                                 (3, 1, "400", 0.0058289451)])
+    def test_large_noncentrality_is_served(self, n, m, lams, expect):
+        # the gauged state stays in float range up to sum lam ~ 700
+        out = subprocess.run(
+            [sys.executable, "-m", "wishart_roots.cli", "pdf", "--n", str(n), "--m", str(m),
+             "--lambda", lams, "--x", "440", "--method", "hgm"], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == ""
+        value = float(out.stdout.splitlines()[1].split(",")[1])
+        p = WishartParams(n, m, [float(v) for v in lams.split(",")])
+        assert value == pytest.approx(pdf_quadrature(p, 440.0, CFG), rel=1e-10, abs=0)
+        assert value == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("n,m,lams,x", [(4, 2, (200.0, 100.0), 230.0),
+                                            (5, 3, (300.0, 200.0, 100.0), 330.0),
+                                            (6, 4, (100.0, 80.0, 60.0, 40.0), 130.0)])
+    def test_large_noncentrality_matches_quadrature(self, n, m, lams, x):
+        p = WishartParams(n, m, lams)
+        assert pdf_hgm(p, x, CFG) == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-10, abs=0)
 
     def test_repeated_lambda_matches_quadrature(self):
         for n, m, lams in [(4, 2, (1.0, 1.0)), (5, 3, (2.0, 2.0, 2.0))]:
@@ -306,13 +329,13 @@ class TestDistributionValues:
             # det(E) over the plain rows is the Vandermonde times the divided one
             assert [row[2] for row in trajectory(p, [0.5, 3.0], CFG)] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("what", ["R", "F"])
-    def test_m4_small_x_matches_quadrature(self, what):
+    @pytest.mark.parametrize("route,ref", [(pdf_hgm, pdf_quadrature), (cdf_hgm, cdf_quadrature)],
+                             ids=["R", "F"])
+    def test_m4_small_x_matches_quadrature(self, route, ref):
         # three close eigenvalues at m = 4: plain rows divided by the Vandermonde cancel here
         p = WishartParams(8, 4, (4.69, 4.39, 4.09, 0.59))
-        ref = pdf_quadrature if what == "R" else cdf_quadrature
-        for x, _, _, dist in trajectory(p, [0.3, 1.0, 3.0], CFG, what=what):
-            assert dist == pytest.approx(ref(p, x, CFG), rel=1e-8, abs=0)
+        xs = [0.3, 1.0, 3.0]
+        assert route(p, xs, CFG) == pytest.approx(ref(p, xs, CFG), rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("n,m,lams", [(4, 2, (2.0, 0.0)), (5, 3, (3.0, 1.5, 0.0)),
                                           (3, 1, (0.0,))])
