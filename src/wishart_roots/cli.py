@@ -3,12 +3,14 @@
 Subcommands: cdf, pdf, table, hgm, mc, verify.  Output is CSV (17
 significant digits, header always) or JSON for verification reports.
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 verification
-failure.  A JSON config file may supply defaults; flags override.
+failure.  A JSON config file may supply defaults; flags override.  One
+parser serves every call in a process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -94,31 +96,53 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     return ap, sub.choices
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The process's one parser, built on the first call rather than at
+    import; parsing never changes it, so it serves every call of ``main``."""
+    return _build_parser()
+
+
+def _config_path(argv: Sequence[str]) -> str | None:
+    """The value of the last --config on the command line (``--config PATH``,
+    ``--config=PATH`` or an abbreviation, as argparse reads them), or None."""
+    path = None
+    for i, arg in enumerate(argv):
+        name, eq, value = arg.partition("=")
+        if len(name) > 2 and "--config".startswith(name):
+            path = value if eq else argv[i + 1] if i + 1 < len(argv) else path
+    return path
+
+
 def _parse_args(argv: Sequence[str], ap: argparse.ArgumentParser, commands: dict):
-    """Parse ``argv``; with --config, again with the file's values as the
-    subcommand's defaults, which argparse converts by the options' types and
-    explicit flags override.  Keys that name no option are ignored."""
-    args = ap.parse_args(argv)
-    if args.config is None:
-        return args
-    sub = commands[args.command]
+    """Parse ``argv``; a --config file's values enter as options right after
+    the subcommand, so argparse converts them by the options' types, flags
+    later on the line override them, and required options may come from the
+    file.  Keys that name no option are ignored."""
+    path = _config_path(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if path is None or sub is None:
+        return ap.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError("not a JSON object")
     except (OSError, ValueError) as exc:
-        sub.error(f"--config {args.config}: {exc}")
+        sub.error(f"--config {path}: {exc}")
     values = {k.replace("-", "_"): v for k, v in values.items()}
+    options = []
     for action in sub._actions:
         value, flag = values.get(action.dest), action.nargs == 0  # flag: store_true
-        if value is None or not action.option_strings:
+        if value is None or not action.option_strings or action.dest in ("help", "config"):
             continue
         if flag != isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            sub.error(f"--config {args.config}: bad value {value!r} for {action.dest}")
-        # a string default is converted by the option's type, as a flag's value is
-        sub.set_defaults(**{action.dest: value if flag else str(value)})
-    return ap.parse_args(argv)
+            sub.error(f"--config {path}: bad value {value!r} for {action.dest}")
+        if not flag:
+            options.append(f"{action.option_strings[0]}={value}")
+        elif value:
+            options.append(action.option_strings[0])
+    return ap.parse_args([argv[0], *options, *argv[1:]])
 
 
 def _check_options(args) -> None:
@@ -259,9 +283,8 @@ def cmd_verify(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap, commands = _build_parser()
     try:
-        args = _parse_args(argv, ap, commands)
+        args = _parse_args(argv, *_parser())
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

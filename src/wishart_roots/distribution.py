@@ -5,7 +5,7 @@ Routes
 quadrature : the determinantal CDF formula with H-integral entries, each a
              power series in lam whose coefficients are regularised
              incomplete gammas read from one ``PoissonTails`` array per
-             abscissa, and its x-derivative as one bordered determinant for
+             grid, and its x-derivative as one bordered determinant for
              the density.
 series     : evaluation of the exact truncated lam-series (fast and robust
              for small noncentrality; symmetric, so confluent lam's are
@@ -242,28 +242,25 @@ def _rows_det(coefs: Callable[[int], np.ndarray], lambdas: Sequence[float], term
     return det
 
 
-def _tails(params: WishartParams, xs: np.ndarray) -> List[PoissonTails]:
-    """One Poisson-tail array per abscissa for all H columns, with room for
-    the terms of the grid (a longer read extends it)."""
-    top = params.n + _terms(params, max(xs))
-    return [PoissonTails(x, top) for x in xs.tolist()]
+def _tails(params: WishartParams, xs: np.ndarray) -> PoissonTails:
+    """The Poisson tails of the grid for all H columns, one array with room
+    for the terms of the grid (a longer read rebuilds it)."""
+    return PoissonTails(xs, params.n + _terms(params, max(xs)))
 
 
-def _h_coefs(params: WishartParams, tails: List[PoissonTails], terms: int, r: int = 0):
+def _h_coefs(params: WishartParams, tails: PoissonTails, terms: int, r: int = 0):
     """Coefficients of H^{n-j}_N(x, y) / r! (j = 1..m, N = n-m+1, r <= n-m) at
     the abscissas of ``tails``, times s^l, an array (x, j, l): in
     H^k_N(x, y) = sum_l gamma(k+l+1, x) y^l / ((N)_l l!), gamma(k+l+1, x) is
     (k+l)! P(k+l+1, x), so coefficient l is P(k+l+1, x) (k!/r!) (k+1)_l s^l / ((N)_l l!)."""
     n, m = params.n, params.m
-    for t in tails:
-        t.reach(n + terms - 1)
+    tails.reach(n + terms - 1)
     k = n - np.arange(1, m + 1)[:, None]
     l = np.arange(1, terms)
     ratios = np.empty((m, terms))
     ratios[:, 0] = [math.factorial(j) // math.factorial(r) for j in k[:, 0]]
     ratios[:, 1:] = (k + l) / ((n - m + l) * l) * float(_scale(params.lambdas))
-    p = np.array([t.values[:n + terms] for t in tails])
-    return p[:, k + 1 + np.arange(terms)] * ratios.cumprod(axis=1)
+    return tails.values[:, k + 1 + np.arange(terms)] * ratios.cumprod(axis=1)
 
 
 def _hpg01_coefs(nu: int, x: np.ndarray, s: float, terms: int, scale) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from .exp_poly import ExpPoly, Term, gamma_terms
 from .ratfunc import RatFunc
-from .special_fn import MAX_TERMS, ConvergenceError, PoissonTails, hpg01
+from .special_fn import MAX_TERMS, ConvergenceError, _tail_row, hpg01
 
 Atom = Tuple
 
@@ -194,16 +194,19 @@ def _h_kl_beta_value(k: int, ell: int, n: int, x: float, y: float) -> float:
 def _h_series_value(k: int, n: int, x: float, y: float) -> float:
     """H^k_n(x, y) = sum_j gamma(k+j+1, x) y^j / ((n)_j j!), the quadrature
     columns' sum: gamma(k+j+1, x) is (k+j)! P(k+j+1, x), read from one
-    ``PoissonTails``, so term j is P(k+j+1, x) k! (k+1)_j y^j / ((n)_j j!)
-    and no Gamma(a) is formed."""
-    tails = PoissonTails(x, k + int(y) + 2)
+    Poisson-tail row (``special_fn._tail_row``, as a list), so term j is
+    P(k+j+1, x) k! (k+1)_j y^j / ((n)_j j!) and no Gamma(a) is formed."""
+    top = k + int(y) + 2
+    p = _tail_row(x, top)
     total = 0.0
     coef = float(math.factorial(k))  # k! (k+1)_j y^j / ((n)_j j!)
     for j in range(MAX_TERMS):
         if j > 0:
             coef *= y * (k + j) / ((n + j - 1) * j)
-        tails.reach(k + j + 1)
-        term = coef * tails.values[k + j + 1]
+        if k + j + 1 > top:  # as ``PoissonTails.reach``
+            top *= 2
+            p = _tail_row(x, top)
+        term = coef * p[k + j + 1]
         total += term
         if j > y and term < 1e-17 * total:
             return total

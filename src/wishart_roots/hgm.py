@@ -18,8 +18,10 @@ no integrator and no tolerance; the gauge keeps the state in float range up
 to sum lam ~ 700.  The F part is the quadrature route's rows, so the CDF is
 front * det(rows) and the density the same bordered determinant as there:
 nothing is divided by the Vandermonde, and repeated, clustered and zero
-eigenvalues take one path.  Abscissas up to X0 take the state from the
-series (``divided_rows``); the others are reached by one march from X0.
+eigenvalues take one path; a determinant whose condition number exceeds
+``COND_LIMIT`` is refused (``NumericFailure``).  Abscissas up to X0 take the
+state from the series (``divided_rows``); the others are reached by one march
+from X0.
 The symbolic coefficients over the 3^m tensor products of (b0, b1, b2)
 (``extraction_vector``, ``extraction_vector_dx``) serve the printed m = 2 table.
 """
@@ -36,8 +38,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .distribution import (EvalConfig, NumericFailure, WishartParams, _border, _fronted, _gridded,
-                           _h_coefs, _hpg01_coefs, _on_positive, _scale, _tails, _terms, divided_rows)
+from .distribution import (COND_LIMIT, EvalConfig, NumericFailure, WishartParams, _border, _det_cond,
+                           _fronted, _gridded, _h_coefs, _hpg01_coefs, _on_positive, _scale, _tails,
+                           _terms, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
@@ -291,12 +294,24 @@ def _march(params: WishartParams, x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _dets(rows: np.ndarray) -> np.ndarray:
+    """det(rows) per abscissa.  The marched rows carry relative errors of
+    about 1e-16 and more, which a determinant multiplies by its Skeel
+    condition number: one above ``COND_LIMIT`` raises ``NumericFailure``."""
+    det, cond = _det_cond(rows)
+    bad = (cond > COND_LIMIT) & (det != 0.0)
+    if bad.any():
+        raise NumericFailure(f"the hgm rows are ill-conditioned: Skeel condition number "
+                             f"{cond[bad].max():.3g} > {COND_LIMIT:g}")
+    return det
+
+
 def _dx_dets(params: WishartParams, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d/dx det(H^{n-j}_N[lam_1..lam_i]) from the states ``w`` at ``x``:
     minus the determinant of the rows (F_1..F_m, b1) bordered, as in
     ``pdf_quadrature``, by x^{m-1-j}, since x^{m-1-j} b1 = x^{n-j} e^{-x} u1."""
     m = params.m
-    return -np.linalg.det(np.concatenate([w[:, :, :m + 1], _border(m - 1, x, m)[:, None]], axis=1))
+    return -_dets(np.concatenate([w[:, :, :m + 1], _border(m - 1, x, m)[:, None]], axis=1))
 
 
 def _fronted_dets(params: WishartParams, dets: np.ndarray) -> List[float]:
@@ -312,7 +327,7 @@ def pdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = Non
 @_gridded
 def cdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
     def values(x):
-        dets = np.linalg.det(_march(params, x)[:, :, :params.m])
+        dets = _dets(_march(params, x)[:, :, :params.m])
         return [min(max(v, 0.0), 1.0) for v in _fronted_dets(params, dets)]
 
     return _on_positive(xs, 0.0, values)

@@ -6,8 +6,9 @@ The building block of everything here is the confluent limit function
 
 together with the modified Bessel cross-check I_n(z), the lower incomplete
 gamma gamma(a, x) and its regularised form P(a, x), the array of P(a, x)
-at a = 0..top that the quadrature route reads (``PoissonTails``), and the
-Marcum Q-function in the normalization
+at a = 0..top and every abscissa of a grid that the quadrature route reads
+(``PoissonTails``, one per grid), and the Marcum Q-function in the
+normalization
 
     Q_n(x, y) = e^{-x}/(n-1)! * int_y^inf t^{n-1} e^{-t} hpg01(n, x t) dt,
 
@@ -25,7 +26,9 @@ import itertools
 import math
 import operator
 from functools import lru_cache
-from typing import List
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 class ConvergenceError(ArithmeticError):
@@ -97,17 +100,15 @@ def incomplete_gamma(a: float, x: float) -> float:
     return regularized_p(a, x) * math.gamma(a)
 
 
-def regularized_p(a: float, x: float, front: float | None = None) -> float:
+def regularized_p(a: float, x: float) -> float:
     """Regularized P(a, x) = gamma(a, x) / Gamma(a), for a > 0 and x > 0.
 
     Series for x < a + 1, 1 - Q by the continued fraction otherwise (the
-    classic split), both run to 1e-16 relative.  ``front`` is the common
-    factor e^{-x} x^a / Gamma(a); by default it is formed from logarithms,
-    whose rounding costs about 1e-16 * a log(x) relative, so a caller that
-    has it more accurately passes it in.
+    classic split), both run to 1e-16 relative, times the common factor
+    e^{-x} x^a / Gamma(a), formed from logarithms (its rounding costs about
+    1e-16 * a log(x) relative).
     """
-    if front is None:
-        front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
         return front * _gamma_series(a, x)
     return 1.0 - front * _gamma_cf(a, x)
@@ -180,49 +181,97 @@ def _poisson_term(k: int, x: float) -> float:
     return math.exp(-stirlerr - bd0) / math.sqrt(2 * math.pi * k)
 
 
+def _past_top(x: float, top: int) -> Tuple[int, float]:
+    """How many Poisson terms past ``top`` the upper tail P(top, x) at x < top
+    sums, and their sum with t_top, both relative to t_top: they run until a
+    term is at most 1e-17 of the sum.  A smaller x needs fewer."""
+    t = s = 1.0
+    a = top
+    while t > 1e-17 * s:
+        a += 1
+        t *= x / a
+        s += t
+    return a - top, s
+
+
+def _tail_row(x: float, top: int) -> List[float]:
+    """P(a, x) at a = 0..top for one abscissa, as a list (see ``PoissonTails``)."""
+    mode = min(int(x), top)
+    peak = _poisson_term(mode, x)
+    up = list(itertools.accumulate([x / a for a in range(mode + 1, top + 1)], operator.mul,
+                                   initial=peak))  # terms mode..top
+    down = list(itertools.accumulate([a / x for a in range(mode, 0, -1)], operator.mul,
+                                     initial=peak))  # terms mode..0
+    if x >= top:  # mode == top
+        return [1.0 - v for v in itertools.accumulate(down[:0:-1], initial=0.0)]
+    tails = list(itertools.accumulate(up[-2::-1] + down[1:], initial=up[-1] * _past_top(x, top)[1]))
+    tails.reverse()
+    return tails
+
+
+def _tail_grid(x: np.ndarray, top: int) -> np.ndarray:
+    """``_tail_row`` of every abscissa of ``x`` as one array (x, a): the same
+    products, in the same order, along the rows; an upper tail sums the terms
+    past ``top`` that the largest abscissa below it needs."""
+    mode = np.minimum(x, top).astype(int)
+    below = x < top
+    width = top + 1 + (_past_top(float(x[below].max()), top)[0] if below.any() else 0)
+    a, k, rows = np.arange(width), mode[:, None], np.arange(x.size)
+    peak = [_poisson_term(j, v) for j, v in zip(mode.tolist(), x.tolist())]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 1 / x at x = 0, masked
+        up = np.where(a > k, x[:, None] / a, 1.0)
+        down = np.where(a < k, (a + 1) / x[:, None], 1.0)
+    up[rows, mode] = down[rows, mode] = peak
+    terms = np.where(a < k, down[:, ::-1].cumprod(axis=1)[:, ::-1], up.cumprod(axis=1))
+    out = np.empty((x.size, top + 1))
+    out[below] = terms[below, ::-1].cumsum(axis=1)[:, ::-1][:, :top + 1]
+    out[~below, 0] = 1.0
+    out[~below, 1:] = 1.0 - terms[~below, :top].cumsum(axis=1)
+    return out
+
+
+# from this many abscissas up the array program is cheaper than building the
+# rows one at a time in Python: its fixed cost is about 35 us, a row's 7-25 us
+GRID_ROWS = 3
+
+
 class PoissonTails:
     """P(a, x) = e^{-x} sum_{i>=a} x^i / i!, the regularized lower incomplete
-    gamma at integer a, for a = 0..top, in the list ``values``.
+    gamma at integer a, for a = 0..top at every abscissa of a grid ``x``, in
+    one array ``values`` (x, a).
 
     The Poisson terms e^{-x} x^a / a! are run out by their ratios from the
     mode, which ``_poisson_term`` gives directly (e^{-x} alone underflows for
-    x > 745, the term at the mode does not), up to ``top`` and down to 0.
-    P(top, x) is ``regularized_p`` with the front factor top times the term
-    at top, and each P(a, x) below it adds one positive term: there is no
-    cancellation and no Gamma(a).
-    ``reach(a)`` rebuilds the list in place, doubling ``top`` until it
-    holds index a, so every holder of ``values`` sees the longer list.
+    x > 745, the term at the mode does not), down to 0 and up to ``top``.
+    Where x < top they run on past ``top`` until a term is at most 1e-17 of
+    their sum (``_past_top``), and P(a, x) is the sum of the terms from a up;
+    where x >= top, P(a, x) is 1 minus the terms below a, at least about 1/2
+    for a <= top, so nothing cancels.  No Gamma(a) and no series or continued
+    fraction per abscissa.  A grid of ``GRID_ROWS`` or more abscissas is one
+    array program; a smaller one, such as a single abscissa, is built row by
+    row in Python, with the same products.  ``reach(a)`` rebuilds ``values``,
+    doubling ``top`` until it holds column a.
     """
 
     __slots__ = ("x", "values")
 
-    def __init__(self, x: float, top: int):
-        if x < 0:
-            raise ValueError("PoissonTails requires x >= 0")
-        self.x = x
+    def __init__(self, x: Sequence[float], top: int):
+        self.x = np.array(x, dtype=float, ndmin=1)
+        if not all(0.0 <= v < math.inf for v in self.x.tolist()):
+            raise ValueError("PoissonTails requires finite x >= 0")
         self.values = self._build(max(int(top), 1))
 
     def reach(self, a: int) -> None:
-        top = len(self.values) - 1
+        top = self.values.shape[1] - 1
         if a > top:
             while top < a:
                 top *= 2
-            self.values[:] = self._build(top)
+            self.values = self._build(top)
 
-    def _build(self, top: int) -> List[float]:
-        x = self.x
-        if x == 0.0:
-            return [1.0] + [0.0] * top
-        mode = min(int(x), top)
-        peak = _poisson_term(mode, x)
-        up = list(itertools.accumulate([x / a for a in range(mode + 1, top + 1)], operator.mul,
-                                       initial=peak))  # terms mode..top
-        down = list(itertools.accumulate([a / x for a in range(mode, 0, -1)], operator.mul,
-                                         initial=peak))  # terms mode..0
-        p_top = regularized_p(top, x, front=top * up[-1])
-        tails = list(itertools.accumulate(up[-2::-1] + down[1:], initial=p_top))
-        tails.reverse()
-        return tails
+    def _build(self, top: int) -> np.ndarray:
+        if self.x.size >= GRID_ROWS:
+            return _tail_grid(self.x, top)
+        return np.array([_tail_row(v, top) for v in self.x.tolist()])
 
 
 def marcum_q(n: int, x: float, y: float) -> float:

@@ -327,6 +327,15 @@ class TestNumericFailureExit:
         assert out == ""
         assert "numeric failure" in err and "left float range" in err
 
+    @pytest.mark.parametrize("kind", ["pdf", "cdf"])
+    def test_ill_conditioned_hgm_rows_are_refused(self, capsys, kind):
+        # the rows' Skeel condition numbers are about 5e7 (density) and 7e7 (CDF):
+        # unscreened, the density was 2.5e-9 off quadrature's under the default --tol
+        code, out, err = run_cli(capsys, kind, "--n", "6", "--m", "4", "--lambda",
+                                 "66.721,66.721,60.163,56.964", "--x", "9.04", "--method", "hgm")
+        assert code == 2 and out == ""
+        assert "numeric failure" in err and "condition number" in err
+
     def test_nan_value_is_numeric_failure(self, capsys, monkeypatch):
         from wishart_roots import distribution as dist
 
@@ -409,6 +418,22 @@ class TestConfigFile:
                                 "--lambda", "2,1", "--x", "5"], *cli._build_parser())
         assert (args.tol, args.order, args.json) == (1e-3, 7, True)
 
+    def test_required_options_from_the_file(self, capsys, tmp_path):
+        cfgfile = tmp_path / "defaults.json"
+        cfgfile.write_text(json.dumps({"n": 4, "m": 2, "lambdas": "2,1", "x": 3}))
+        _, plain, _ = run_cli(capsys, "cdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3")
+        code, out, _ = run_cli(capsys, "cdf", "--config", str(cfgfile))
+        assert code == 0 and out == plain
+
+    def test_file_does_not_leak_into_later_calls(self, capsys, tmp_path):
+        cfgfile = tmp_path / "defaults.json"
+        cfgfile.write_text(json.dumps({"order": 4}))
+        argv = ("pdf", "--n", "4", "--m", "2", "--lambda", "2,1", "--x", "3", "--method", "series")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfgfile))
+        assert code == 0 and out != plain  # order 4, not the default 20
+        assert run_cli(capsys, *argv) == (0, plain, "")
+
     @pytest.mark.parametrize("content", ['{"tol": "abc"}', "[1, 2]", "{not json", '{"json": "yes"}',
                                          '{"tol": [1]}', None])
     def test_bad_file_is_usage_error(self, capsys, tmp_path, content):
@@ -422,7 +447,43 @@ class TestConfigFile:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only: the command must not import it
-    probe = "import sys, wishart_roots.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # scipy is a test dependency only: the command must not import it; nor
+    # does the import build the parser, which the first call of main builds
+    probe = ("import sys, wishart_roots.cli as cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')), cli._parser.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, tmp_path, monkeypatch):
+    # each call prints and exits as the same call in a fresh process does
+    cfgfile = tmp_path / "defaults.json"
+    cfgfile.write_text(json.dumps({"n": 4, "m": 2, "lambdas": "2,1", "x": 3, "method": "series",
+                                   "order": 4}))
+    calls = [
+        ["table", *_POINT, *_GRID, "--what", "cdf"],
+        ["pdf", *_POINT, "--x", "3", "--method", "all"],
+        ["pdf", *_POINT, "--x", "nan"],
+        ["pdf", "--config", str(cfgfile)],
+        ["pdf", *_POINT, "--x", "3", "--method", "series"],
+        ["hgm", *_POINT, "--x-max", "3", "--points", "4"],
+        ["verify", "recurrences"],
+    ]
+    built, build_parser = [], cli._build_parser
+
+    def build():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        here = [run_cli(capsys, *argv)[:2] for argv in calls]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _ in here] == [0, 0, 1, 0, 0, 0, 0]
+    for argv, (code, out) in zip(calls, here):
+        fresh = subprocess.run([sys.executable, "-m", "wishart_roots.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

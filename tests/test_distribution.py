@@ -671,8 +671,15 @@ class TestQuadratureReference:
 
         p, x = WishartParams(5, 3, (30.0, 20.0, 10.0)), 40.0
         want = cdf(p, x, CFG), pdf(p, x, CFG)
-        monkeypatch.setattr(dist, "_tails", lambda params, xs: [PoissonTails(x, 1) for x in xs])
+        built = []
+
+        def short(params, xs):  # top 1: every column read rebuilds the array
+            built.append(PoissonTails(xs, 1))
+            return built[-1]
+
+        monkeypatch.setattr(dist, "_tails", short)
         assert (cdf(p, x, CFG), pdf(p, x, CFG)) == pytest.approx(want, rel=1e-13)
+        assert len(built) == 2 and all(t.values.shape[1] > 2 for t in built)
 
     def test_ill_conditioned_rows_are_summed_in_decimals(self):
         from wishart_roots.distribution import (COND_LIMIT, _det_cond, _h_coefs, _tails, _terms,

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,39 +137,62 @@ class TestIncompleteGamma:
         assert incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-11)
 
 
+GRID = [0.05, 0.3, 3.0, 150.0, 500.0, 800.0]
+
+
 class TestPoissonTails:
-    @pytest.mark.parametrize("x", [0.05, 0.3, 3.0, 150.0, 500.0, 800.0])
-    def test_against_mpmath(self, x):
-        # x = 800 is past the underflow of e^{-x}: the terms start from the mode
-        values = PoissonTails(x, 2000).values
-        assert len(values) == 2001 and values[0] == pytest.approx(1.0, rel=1e-15)
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return PoissonTails(GRID, 2000).values
+
+    @pytest.mark.parametrize("x", GRID)
+    def test_against_mpmath(self, grid, x):
+        # one grid; x = 800 is past the underflow of e^{-x}: the terms start from the mode
+        values = grid[GRID.index(x)]
+        assert grid.shape == (len(GRID), 2001) and values[0] == pytest.approx(1.0, rel=1e-15)
         with mpmath.workdps(30):
             for a in range(1, 2001):
                 ref = mpmath.gammainc(a, 0, x, regularized=True)
                 if ref > mpmath.mpf("1e-290"):
                     assert abs(values[a] - ref) <= 1e-13 * ref, a
 
+    @pytest.mark.parametrize("top", [1, 40, 67, 2000])
+    def test_grid_equals_its_abscissas_one_at_a_time(self, top):
+        # the array program against single rows, abscissas on both sides of top
+        xs = GRID + [0.0, 40.0, 66.0, 67.5]
+        grid = PoissonTails(xs, top).values
+        for x, row in zip(xs, grid):
+            one = PoissonTails([x], top).values[0]
+            assert np.all(np.abs(row - one) <= 1e-15 * one), x
+
     @pytest.mark.parametrize("x", [0.05, 3.0, 150.0, 500.0, 800.0])
     def test_matches_incomplete_gamma(self, x):
-        values = PoissonTails(x, 170).values
+        values = PoissonTails([x], 170).values[0]
         for a in range(1, 171):
             assert values[a] == pytest.approx(incomplete_gamma(a, x) / math.gamma(a), rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.3, 40.0, 800.0])
     def test_read_past_top_rebuilds_as_from_the_start(self, x):
-        tails = PoissonTails(x, 30)
-        held = tails.values
-        tails.reach(100)  # extended in place, top doubled twice
-        assert tails.values is held and held == PoissonTails(x, 120).values
-        tails.reach(50)
-        assert tails.values is held and len(held) == 121
+        for xs in ([x], [x, 0.3, 66.0, 800.0]):  # one row, and the array program
+            tails = PoissonTails(xs, 30)
+            tails.reach(100)  # top doubled twice
+            assert np.array_equal(tails.values, PoissonTails(xs, 120).values)
+            tails.reach(50)
+            assert tails.values.shape == (len(xs), 121)
 
     def test_decreasing_and_positive_past_the_underflow_of_exp(self):
-        values = PoissonTails(900.0, 1200).values
-        assert all(a > b > 0.0 for a, b in zip(values[800:], values[801:]))
+        for xs in ([900.0], [900.0, 0.3, 950.0]):  # one row, and the array program
+            values = PoissonTails(xs, 1200).values[0]
+            assert all(a > b > 0.0 for a, b in zip(values[800:], values[801:]))
 
     def test_zero_abscissa(self):
-        assert PoissonTails(0.0, 3).values == [1.0, 0.0, 0.0, 0.0]
+        assert PoissonTails([0.0], 3).values.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+        assert PoissonTails([0.0, 1.0, 2.0], 3).values[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("x", [-1.0, math.inf, math.nan])
+    def test_bad_abscissa(self, x):
+        with pytest.raises(ValueError):
+            PoissonTails([1.0, x], 3)
 
     def test_regularized_p_is_incomplete_gamma_over_gamma(self):
         for a, x in ((2.5, 1.0), (7.0, 9.0), (30.0, 12.0)):
