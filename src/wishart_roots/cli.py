@@ -184,21 +184,22 @@ def _err_estimate(kind: str, params: WishartParams, x: float, args, method: str,
     return abs(value) * args.tol
 
 
-def _routes(kind: str, method: str, m: int) -> List[str]:
-    """The routes --method names for a cdf or pdf.  The conjecture route
-    defines the density only and is experimental at m = 4: "all" leaves it
-    out of a CDF and out of an m = 4 density."""
+def _routes(kind: str, method: str, n: int, m: int) -> List[str]:
+    """The routes --method names for a cdf or pdf.  "all" leaves out the
+    conjecture from a CDF (it defines the density only) and at m >= 4 (where
+    it is experimental or missing), and hgm at n = m (it needs n > m)."""
     if method != "all":
         if kind == "cdf" and method == "conjecture":
             raise ValueError("the conjecture route defines the density only")
         return [method]
-    return ["quadrature", "series"] + (["conjecture"] if kind == "pdf" and m != 4 else []) + ["hgm"]
+    return (["quadrature", "series"] + (["conjecture"] if kind == "pdf" and m < 4 else [])
+            + (["hgm"] if n > m else []))
 
 
 def cmd_point(kind: str, args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     rows = []
-    for method in _routes(kind, args.method, args.m):
+    for method in _routes(kind, args.method, args.n, args.m):
         value = _eval_one(kind, params, args.x, args, method)
         err = _err_estimate(kind, params, args.x, args, method, value)
         rows.append((args.x, value, method, err))
@@ -224,7 +225,7 @@ def _grid(args) -> List[float]:
 def cmd_table(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
     xs = _grid(args)
-    methods = _routes(args.what, args.method, args.m)
+    methods = _routes(args.what, args.method, args.n, args.m)
     columns = [_eval_one(args.what, params, xs, args, mth) for mth in methods]
     print("x," + ",".join(f"{args.what}_{mth}" for mth in methods))
     for x, vals in zip(xs, zip(*columns)):
@@ -234,7 +235,7 @@ def cmd_table(args) -> int:
 
 def cmd_hgm(args) -> int:
     params = WishartParams(args.n, args.m, _parse_lambdas(args.lambdas, args.m))
-    rows = hgm.trajectory(params, _grid(args), _cfg_from_args(args, "hgm"))
+    rows = hgm.trajectory(params, _grid(args))
     dim = 3 ** args.m
     print("x," + ",".join(f"b{i}" for i in range(dim)) + ",R,psi")
     for x, values, R, psi in rows:

@@ -21,10 +21,12 @@ nonnegative weights, so nothing is divided by the Vandermonde and repeated,
 clustered and zero eigenvalues need no special case and no threshold.  A
 route takes a float x or a sequence of abscissas, one array program: weights
 built once from lam, the rows of every abscissa from one matrix product, and
-batched determinants and condition numbers.  The quadrature route sums the
-rows of an ill-conditioned abscissa again in decimals (``_rows_det``) and
-raises ``NumericFailure`` where a determinant leaves float range (sum lam >~
-700 outside the far tails).
+batched determinants and condition numbers.  The quadrature, conjecture and
+hgm routes share the last step (``_log_dets``, ``_fronted``): the sign and
+log|det| of the rows, an ill-conditioned abscissa summed again in decimals,
+and one front factor applied in logarithms, so a determinant past float
+range is no refusal; rows that leave float range (max lam >~ 710) raise
+``NumericFailure``.  The dispatch clamps every CDF to [0, 1].
 """
 
 from __future__ import annotations
@@ -95,16 +97,6 @@ def _det(mat: List[List[Decimal]]) -> Decimal:
             for cc in range(c, n):
                 a[r][cc] -= f * a[c][cc]
     return det
-
-
-def _det_cond(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Determinants and Skeel condition numbers sum_ij |a_ij (A^-1)_ji| (inf
-    where singular) of a stack of small matrices: relative errors e in the
-    entries move a determinant by up to about e times its condition number."""
-    det = np.linalg.det(a)
-    regular = np.isfinite(det) & (det != 0.0)
-    inv = np.linalg.inv(np.where(regular[:, None, None], a, np.eye(a.shape[-1])))
-    return det, np.where(regular, np.abs(a * inv.swapaxes(-1, -2)).sum(axis=(-1, -2)), np.inf)
 
 
 def _gridded(route: Callable) -> Callable:
@@ -185,29 +177,13 @@ def divided_rows(coefs: Callable[[int], np.ndarray], lambdas: Sequence, terms: i
     raise NumericFailure("divided-difference series did not converge")
 
 
-def _fronted(params: WishartParams, det: float, shift: float = 0.0) -> float:
-    """(-1)^{m(m-1)/2} e^{-sum lam - shift} det, the one front factor of the
-    quadrature, conjecture and hgm determinants (each already divided by
-    (n-m)!^m), taken through logarithms when e^{-sum lam - shift} would
-    underflow, so a representable value is not lost.  A determinant that is
-    not finite raises ``NumericFailure``."""
-    if not math.isfinite(det):
-        raise NumericFailure("the determinant of the divided-difference rows left float range")
-    m = params.m
-    sign = (-1) ** (m * (m - 1) // 2)
-    log_front = -sum(params.lambdas) - shift
-    if log_front > -700.0 or det == 0.0:
-        return sign * math.exp(log_front) * det
-    return sign * math.copysign(math.exp(math.log(abs(det)) + log_front), det)
-
-
 def _border(n: int, x, m: int, r: int = 0) -> np.ndarray:
-    """x^{n-j} / r! (j = 1..m) and 0 on the last axis (x a float or an array):
+    """-x^{n-j} / r! (j = 1..m) and 0 on the last axis (x a float or an array):
     bordering rows that end in the divided differences of e^{-x} hpg01(N; x y)
-    with this row gives minus the x-derivative of the determinant of the
+    with this row gives the x-derivative of the determinant of the
     H^{n-j}_N / r! rows."""
     out = np.zeros(np.shape(x) + (m + 1,))
-    out[..., :m] = np.power.outer(x, np.arange(n - 1, n - m - 1, -1.0)) / math.factorial(r)
+    out[..., :m] = -np.power.outer(x, np.arange(n - 1, n - m - 1, -1.0)) / math.factorial(r)
     return out
 
 
@@ -222,24 +198,54 @@ DECIMAL_DIGITS = 40
 _decimals = np.frompyfunc(Decimal, 1, 1)  # each float exactly, into an object array
 
 
-def _rows_det(coefs: Callable[[int], np.ndarray], lambdas: Sequence[float], terms: int,
-              border: np.ndarray | None = None) -> np.ndarray:
-    """det(divided_rows(coefs, lambdas, terms) + border rows) per abscissa,
-    within about 1e-10 relative of that of the series' divided differences:
-    an ill-conditioned abscissa is summed again in decimals, alone."""
-    rows = divided_rows(coefs, lambdas, terms)
+def _log_dets(params: WishartParams, x: np.ndarray, coefs_at: Callable, border: np.ndarray | None = None,
+              rows: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The sign and log|det| of the divided-difference rows at each abscissa
+    of ``x`` under the ``border`` rows (x, k - m, k), if any: the one
+    determinant of the quadrature, conjecture and hgm routes.  The float
+    ``rows`` (x, m, k) are summed from ``coefs_at(x)`` (as for
+    ``divided_rows``) unless the caller has them; rows that are not finite
+    raise ``NumericFailure``.  An abscissa whose Skeel condition number
+    sum_ij |a_ij (A^-1)_ji| exceeds ``COND_LIMIT`` (or is singular) is summed
+    again, alone, in decimals from ``coefs_at`` of that abscissa."""
+    if rows is None:
+        rows = divided_rows(coefs_at(x), params.lambdas, _terms(params, x.max()))
     if border is not None:
         rows = np.concatenate([rows, border], axis=-2)
-    det, cond = _det_cond(rows)
-    redo = np.flatnonzero((cond > COND_LIMIT) & np.isfinite(det))
-    if redo.size:
+    if not np.isfinite(rows).all():
+        raise NumericFailure("the divided-difference rows left float range")
+    sign, logdet = np.linalg.slogdet(rows)
+    singular = sign == 0.0
+    if singular.any():  # the identity in their place, condition inf
+        rows = np.where(singular[:, None, None], np.eye(rows.shape[-1]), rows)
+    cond = np.abs(rows * np.linalg.inv(rows).swapaxes(-1, -2)).sum(axis=(-1, -2))
+    cond[singular] = np.inf
+    for i in [i for i, c in enumerate(cond.tolist()) if not c <= COND_LIMIT]:  # NaN too
         with decimal.localcontext() as ctx:
             ctx.prec = DECIMAL_DIGITS
-            rows = divided_rows(lambda L: _decimals(coefs(L)[redo]), lambdas, terms, Decimal)
+            ctx.traps[decimal.InvalidOperation] = False  # coefficients past float range give NaN, refused later
+            coefs = coefs_at(x[i:i + 1])
+            a = divided_rows(lambda L: _decimals(coefs(L)), params.lambdas, _terms(params, x[i]), Decimal)
             if border is not None:
-                rows = np.concatenate([rows, _decimals(border[redo])], axis=-2)
-            det[redo] = [float(_det(r.tolist())) for r in rows]
-    return det
+                a = np.concatenate([a, _decimals(border[i:i + 1])], axis=-2)
+            d = _det(a[0].tolist())
+            sign[i], logdet[i] = (d > 0) - (d < 0), float(abs(d).ln()) if d else -math.inf
+    return sign, logdet
+
+
+def _fronted(params: WishartParams, dets: Tuple[np.ndarray, np.ndarray], const=0.0) -> List[float]:
+    """(-1)^{m(m-1)/2} e^{-sum lam + const} det per abscissa from ``_log_dets``:
+    the one front factor of the quadrature, conjecture and hgm routes, in
+    logarithms, so neither a determinant past float range nor an e^{-sum lam}
+    that underflows loses a representable value.  ``const`` (a number or one
+    per abscissa) is the route's: the e^{-x} a density column leaves out, the
+    1/(n-m)!^m of rows that do not carry it, the conjecture's power of x."""
+    sign, logdet = dets
+    m = params.m
+    values = (sign * (-1) ** (m * (m - 1) // 2) * np.exp(logdet + (const - sum(params.lambdas)))).tolist()
+    if not all(map(math.isfinite, values)):
+        raise NumericFailure("the value of the divided-difference determinant left float range")
+    return values
 
 
 def _tails(params: WishartParams, xs: np.ndarray) -> PoissonTails:
@@ -291,39 +297,29 @@ def _density_at_zero(params: WishartParams) -> float:
 def cdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """(-1)^{m(m-1)/2} e^{-sum lam} / (n-m)!^m det(H^{n-j}_N[lam_1..lam_i]),
     the entries summed as power series in lam (``divided_rows``) over the
-    whole grid at once.  The rows' determinant leaves float range once
-    sum lam >~ 700 (outside the far tails); there it raises
+    whole grid at once.  Rows past float range (max lam >~ 710) raise
     ``NumericFailure``."""
-    n, m = params.n, params.m
-
-    def values(x):
-        tails = _tails(params, x)
-        coefs = functools.partial(_h_coefs, params, tails, r=n - m)
-        det = _rows_det(coefs, params.lambdas, _terms(params, x.max()))
-        return [min(max(_fronted(params, d), 0.0), 1.0) for d in det.tolist()]
-
-    return _on_positive(xs, 0.0, values)
+    coefs_at = lambda x: functools.partial(_h_coefs, params, _tails(params, x), r=params.n - params.m)
+    return _on_positive(xs, 0.0, lambda x: _fronted(params, _log_dets(params, x, coefs_at)))
 
 
 @_gridded
 def pdf_quadrature(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[float]:
     """The x-derivative of ``cdf_quadrature``'s determinant, one bordered
     determinant over the same rows plus the divided differences of
-    e^{-x} hpg01(N; x lam) (``_border``).  It raises ``NumericFailure`` where
-    that determinant leaves float range, once sum lam >~ 700 (outside the far
-    tails)."""
+    e^{-x} hpg01(N; x lam) (``_border``), whose e^{-x} past ``PDF_SHIFT``
+    joins the front factor."""
     n, m = params.n, params.m
+    s = float(_scale(params.lambdas))
+
+    def coefs_at(x):
+        h = functools.partial(_h_coefs, params, _tails(params, x), r=n - m)
+        g = functools.partial(_hpg01_coefs, n - m + 1, x, s, scale=np.exp(-np.minimum(x, PDF_SHIFT)))
+        return lambda L: np.concatenate([h(L), g(L)[:, None]], axis=1)
 
     def values(x):
-        shift = np.maximum(x - PDF_SHIFT, 0.0)
-        tails, s = _tails(params, x), float(_scale(params.lambdas))
-
-        def coefs(L):
-            g = _hpg01_coefs(n - m + 1, x, s, L, np.exp(shift - x))
-            return np.concatenate([_h_coefs(params, tails, L, n - m), g[:, None]], axis=1)
-
-        det = _rows_det(coefs, params.lambdas, _terms(params, x.max()), _border(n, x, m, n - m)[:, None])
-        return [_fronted(params, -d, h) for d, h in zip(det.tolist(), shift.tolist())]
+        dets = _log_dets(params, x, coefs_at, _border(n, x, m, n - m)[:, None])
+        return _fronted(params, dets, np.minimum(x, PDF_SHIFT) - x)
 
     return _on_positive(xs, _density_at_zero(params), values)
 
@@ -350,7 +346,7 @@ def cdf_series(params: WishartParams, xs: List[float], cfg: EvalConfig) -> List[
     s = _cdf_sym_series_cached(params.n, params.m, cfg.series_order)
     front = math.exp(-sum(params.lambdas))
     values = iter(s.eval([x for x in xs if x != 0.0], list(params.lambdas)))
-    return [min(max(next(values) * front, 0.0), 1.0) if x != 0.0 else 0.0 for x in xs]
+    return [next(values) * front if x != 0.0 else 0.0 for x in xs]
 
 
 @_gridded
@@ -584,15 +580,11 @@ def _g2_series(n: int, x: np.ndarray, s: float, terms: int) -> np.ndarray:
     return g
 
 
-def _conjecture_power(n: int, m: int, x: float) -> float:
-    """C(x) e^{mx} = (n-m+1) x^{mn - m(m-1)/2 - 1} / prod_k (n-k+1)^k."""
-    denom = math.prod(float(n - k + 1) ** k for k in range(1, m + 1))
-    return (n - m + 1) * x ** (m * n - m * (m - 1) // 2 - 1) / denom
-
-
-def conjecture_front_factor(n: int, m: int, x: float) -> float:
-    """C(x) = (n-m+1) x^{mn - m(m-1)/2 - 1} e^{-mx} / prod_k (n-k+1)^k."""
-    return _conjecture_power(n, m, x) * math.exp(-m * x)
+def _log_conjecture_power(n: int, m: int, x):
+    """log(C(x) e^{mx}) = log((n-m+1) x^{mn - m(m-1)/2 - 1} / prod_k (n-k+1)^k)
+    at x > 0 (a float or an array), C(x) the conjecture's front factor."""
+    denom = math.prod((n - k + 1) ** k for k in range(1, m + 1))
+    return math.log((n - m + 1) / denom) + (m * n - m * (m - 1) // 2 - 1) * np.log(x)
 
 
 @_gridded
@@ -602,38 +594,25 @@ def pdf_conjecture(params: WishartParams, xs: List[float], cfg: EvalConfig) -> L
     and conjectured beyond.  Each row carries one e^{-x} of C(x), which keeps
     the entries in float range for x up to a few hundred; past ``PDF_SHIFT``
     that e^{-x} loses digits to underflow, so x > PDF_SHIFT raises
-    ``NumericFailure``, as does a determinant that leaves float range."""
+    ``NumericFailure``, as do rows past float range."""
     n, m = params.n, params.m
+    if m > 4:
+        raise ValueError("conjecture route implemented for m <= 4")
+    if m == 4 and not cfg.experimental_m4:
+        raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
+    s = float(_scale(params.lambdas))
+
+    def coefs_at(x):
+        return lambda L: np.stack([_hpg01_coefs(n - m + 1, x, s, L, np.exp(-x))]
+                                  + [g_series(n - m + j, j, x, s, L) for j in range(2, m + 1)], axis=1)
 
     def values(x):
-        if m > 4:
-            raise ValueError("conjecture route implemented for m <= 4")
-        if m == 4 and not cfg.experimental_m4:
-            raise ValueError("m = 4 conjecture route is experimental; enable it explicitly")
         if x.max() > PDF_SHIFT:
             raise NumericFailure(f"the conjecture route serves x <= {PDF_SHIFT:g}")
-        s = float(_scale(params.lambdas))
-
-        def coefs(L):
-            columns = [_hpg01_coefs(n - m + 1, x, s, L, np.exp(-x))]
-            columns += [g_series(n - m + j, j, x, s, L) for j in range(2, m + 1)]
-            return np.stack(columns, axis=1)
-
-        det = np.linalg.det(divided_rows(coefs, params.lambdas, _terms(params, x.max())))
-        det = det * _conjecture_power(n, m, x) / math.factorial(n - m) ** m
-        return [_fronted(params, d) for d in det.tolist()]
+        const = _log_conjecture_power(n, m, x) - m * math.log(math.factorial(n - m))
+        return _fronted(params, _log_dets(params, x, coefs_at), const)
 
     return _on_positive(xs, _density_at_zero(params), values)
-
-
-def pdf_m2_closed(params: WishartParams, x: float) -> float:
-    """The proved m = 2 closed form, the m = 2 case of pdf_conjecture:
-
-    psi_{n,2} = x^{2n-2} e^{-lam1-lam2-2x} / (n! (n-2)! (lam1-lam2))
-                * det( hpg01(n-1; x lam_i) ; G_{n,2}(x, lam_i) )."""
-    if params.m != 2:
-        raise ValueError("m = 2 only")
-    return pdf_conjecture(params, x, EvalConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +622,8 @@ def pdf_m2_closed(params: WishartParams, x: float) -> float:
 def _route_value(kind: str, params: WishartParams, x, cfg: EvalConfig):
     """The value of the route ``cfg.method`` for a "cdf" or "pdf" at a finite x,
     or the list of values at a sequence of them (``ValueError`` otherwise); a
-    value that is not a finite number raises ``NumericFailure``."""
+    value that is not a finite number raises ``NumericFailure``, and every
+    CDF value is clamped to [0, 1] here."""
     one = isinstance(x, numbers.Real)
     xs = [x] if one else list(x)
     if not all(map(math.isfinite, xs)):
@@ -663,6 +643,8 @@ def _route_value(kind: str, params: WishartParams, x, cfg: EvalConfig):
     bad = [v for v in values if not math.isfinite(v)]
     if bad:
         raise NumericFailure(f"the {cfg.method} route returned {bad[0]}")
+    if kind == "cdf":
+        values = [min(max(v, 0.0), 1.0) for v in values]
     return values[0] if one else values
 
 

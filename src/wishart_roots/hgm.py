@@ -14,14 +14,13 @@ divided differences of (F_1..F_m, b1, b2), and x y' = M(x) y with M a
 polynomial matrix of degree max(1, m-1) (``PfaffianSystem``).  Its Taylor
 coefficients obey a recurrence, so ``hgm_integrate`` steps it by summed Taylor
 series (van der Hoeven, "Fast evaluation of holonomic functions", 1999), with
-no integrator and no tolerance; the gauge keeps the state in float range up
-to sum lam ~ 700.  The F part is the quadrature route's rows, so the CDF is
-front * det(rows) and the density the same bordered determinant as there:
-nothing is divided by the Vandermonde, and repeated, clustered and zero
-eigenvalues take one path; a determinant whose condition number exceeds
-``COND_LIMIT`` is refused (``NumericFailure``).  Abscissas up to X0 take the
-state from the series (``divided_rows``); the others are reached by one march
-from X0.
+no integrator and no tolerance; the gauge keeps the state in float range
+while the rows are (max lam up to ~710).  The F part is the quadrature
+route's rows, so the CDF and the density are its determinants, through the
+same ``distribution._log_dets`` and ``_fronted``: nothing is divided by the
+Vandermonde, and an ill-conditioned abscissa is summed again in decimals
+from the series start.  Abscissas up to X0 take the state from the series
+(``divided_rows``), the others one march from X0.  The route needs n > m.
 The symbolic coefficients over the 3^m tensor products of (b0, b1, b2)
 (``extraction_vector``, ``extraction_vector_dx``) serve the printed m = 2 table.
 """
@@ -33,14 +32,15 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .distribution import (COND_LIMIT, EvalConfig, NumericFailure, WishartParams, _border, _det_cond,
+from .distribution import (PDF_SHIFT, EvalConfig, NumericFailure, WishartParams, _border, _decimals,
                            _fronted, _gridded, _h_coefs, _hpg01_coefs, _on_positive, _scale, _tails,
-                           _terms, divided_rows)
+                           _log_dets, _terms, divided_rows)
 from .h_integrals import HIndex, b_atom, h_atom, reduce_to_basis
 from .ratfunc import MPoly, RatFunc
 from .series_engine import exact_det
@@ -126,29 +126,35 @@ class HgmState:
     values: np.ndarray  # (F_1..F_m, b1, b2) divided differences, prefix by prefix
 
 
-def initial_state(params: WishartParams, x0, cfg: EvalConfig | None = None):
-    """The state at 0 < x0 <= X0 (a float, giving an ``HgmState``), or at
-    each of a sequence of them (giving a list), by one ``divided_rows`` call:
-    the quadrature route's H^{n-j}_N rows without their 1/(n-m)!, and the
-    gauged hpg01 columns."""
-    x = np.array([x0] if isinstance(x0, numbers.Real) else x0, dtype=float)
-    if not ((0 < x) & (x <= X0)).all():
-        raise ValueError(f"initial abscissas must satisfy 0 < x0 <= {X0}")
+def _start_coefs(params: WishartParams, x: np.ndarray):
+    """The coefficients (as for ``divided_rows``) of the state's columns
+    (F_1..F_m, b1, b2) at the abscissas x: the quadrature route's H^{n-j}_N
+    columns without their 1/(n-m)!, and the gauged hpg01 columns, whose e^{-x}
+    stops at e^{-PDF_SHIFT} as in ``pdf_quadrature``."""
     N = params.n - params.m + 1
-    s, gauge = float(_scale(params.lambdas)), np.exp(N * np.log(x) - x)
+    s, gauge = float(_scale(params.lambdas)), np.exp(N * np.log(x) - np.minimum(x, PDF_SHIFT))
     tails = _tails(params, x)
 
     def coefs(L):
         b = [_hpg01_coefs(nu, x, s, L, gauge)[:, None] for nu in (N, N + 1)]
         return np.concatenate([_h_coefs(params, tails, L)] + b, axis=1)
 
-    rows = divided_rows(coefs, params.lambdas, _terms(params, x.max()))
+    return coefs
+
+
+def initial_state(params: WishartParams, x0):
+    """The state at 0 < x0 <= X0 (a float, giving an ``HgmState``), or at
+    each of a sequence of them (giving a list), by one ``divided_rows`` call."""
+    x = np.array([x0] if isinstance(x0, numbers.Real) else x0, dtype=float)
+    if not ((0 < x) & (x <= X0)).all():
+        raise ValueError(f"initial abscissas must satisfy 0 < x0 <= {X0}")
+    rows = divided_rows(_start_coefs(params, x), params.lambdas, _terms(params, x.max()))
     states = [HgmState(v, r.ravel()) for v, r in zip(x.tolist(), rows)]
     return states[0] if isinstance(x0, numbers.Real) else states
 
 
-def hgm_integrate(sys: PfaffianSystem, start: HgmState, x_target: float, lambdas: Sequence[float],
-                  cfg: EvalConfig | None = None) -> HgmState:
+def hgm_integrate(sys: PfaffianSystem, start: HgmState, x_target: float,
+                  lambdas: Sequence[float]) -> HgmState:
     """March the state from ``start.x`` to ``x_target`` (both positive) by
     Taylor steps of x y' = M(x) y.  At a centre c, with M(c+t) = sum_j P_j t^j
     and y(c+t) = sum_k a_k t^k, c (k+1) a_{k+1} = sum_j P_j a_{k-j} - k a_k;
@@ -278,11 +284,10 @@ def extraction_vector_dx(
 # distribution values through the Pfaffian route
 # ---------------------------------------------------------------------------
 
-def _march(params: WishartParams, x: np.ndarray) -> np.ndarray:
+def _march(sys: PfaffianSystem, params: WishartParams, x: np.ndarray) -> np.ndarray:
     """The states at the abscissas x > 0, an array (x, m, m+2) in their
     order: those up to X0 from the series, the others by one march from X0."""
     m = params.m
-    sys = PfaffianSystem(params.n, m)
     ascending = np.sort(x)  # a NaN sorts last and is refused by the march
     near = ascending[ascending <= X0].tolist()
     states = initial_state(params, near + [X0])
@@ -294,47 +299,46 @@ def _march(params: WishartParams, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _dets(rows: np.ndarray) -> np.ndarray:
-    """det(rows) per abscissa.  The marched rows carry relative errors of
-    about 1e-16 and more, which a determinant multiplies by its Skeel
-    condition number: one above ``COND_LIMIT`` raises ``NumericFailure``."""
-    det, cond = _det_cond(rows)
-    bad = (cond > COND_LIMIT) & (det != 0.0)
-    if bad.any():
-        raise NumericFailure(f"the hgm rows are ill-conditioned: Skeel condition number "
-                             f"{cond[bad].max():.3g} > {COND_LIMIT:g}")
-    return det
+def _marched_dets(params: WishartParams, x: np.ndarray, w: np.ndarray, density: bool):
+    """``distribution._log_dets`` of the CDF rows (F_1..F_m) of the states
+    ``w`` at ``x``, or of the density's rows (F_1..F_m, b1) bordered, as in
+    ``pdf_quadrature``, by -x^{m-1-j}, since x^{m-1-j} b1 = x^{n-j} e^{-x} u1.
+    The decimal re-sum completes b1's e^{-x} past ``PDF_SHIFT``."""
+    m, columns = params.m, params.m + density
+
+    def coefs_at(xi):
+        coefs, rest = _start_coefs(params, xi), (Decimal(min(xi[0], PDF_SHIFT)) - Decimal(xi[0])).exp()
+        scale = np.array([Decimal(1)] * m + [rest], object)
+        return lambda L: _decimals(coefs(L)[:, :columns]) * scale[:columns, None]
+
+    border = _border(m - 1, x, m)[:, None] if density else None
+    return _log_dets(params, x, coefs_at, border, w[:, :, :columns])
 
 
-def _dx_dets(params: WishartParams, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dx det(H^{n-j}_N[lam_1..lam_i]) from the states ``w`` at ``x``:
-    minus the determinant of the rows (F_1..F_m, b1) bordered, as in
-    ``pdf_quadrature``, by x^{m-1-j}, since x^{m-1-j} b1 = x^{n-j} e^{-x} u1."""
-    m = params.m
-    return -_dets(np.concatenate([w[:, :, :m + 1], _border(m - 1, x, m)[:, None]], axis=1))
+def _front(params: WishartParams) -> float:  # the log of the quadrature rows' 1/(n-m)!^m
+    return -params.m * math.log(math.factorial(params.n - params.m))
 
 
-def _fronted_dets(params: WishartParams, dets: np.ndarray) -> List[float]:
-    scale = math.factorial(params.n - params.m) ** params.m  # the 1/(n-m)! of each quadrature row
-    return [_fronted(params, d / scale) for d in dets.tolist()]
+def _values(params: WishartParams, xs: List[float], density: bool) -> List[float]:
+    sys = PfaffianSystem(params.n, params.m)  # refuses n = m before any abscissa is read
 
-
-@_gridded
-def pdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
-    return _on_positive(xs, 0.0, lambda x: _fronted_dets(params, _dx_dets(params, x, _march(params, x))))
-
-
-@_gridded
-def cdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
     def values(x):
-        dets = _dets(_march(params, x)[:, :, :params.m])
-        return [min(max(v, 0.0), 1.0) for v in _fronted_dets(params, dets)]
+        return _fronted(params, _marched_dets(params, x, _march(sys, params, x), density), _front(params))
 
     return _on_positive(xs, 0.0, values)
 
 
-def trajectory(params: WishartParams, xs: Sequence[float],
-               cfg: EvalConfig | None = None) -> List[Tuple[float, np.ndarray, float, float]]:
+@_gridded
+def pdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
+    return _values(params, xs, True)
+
+
+@_gridded
+def cdf_hgm(params: WishartParams, xs: List[float], cfg: EvalConfig | None = None) -> List[float]:
+    return _values(params, xs, False)
+
+
+def trajectory(params: WishartParams, xs: Sequence[float]) -> List[Tuple[float, np.ndarray, float, float]]:
     """The ``hgm`` dump: one march through the abscissas in increasing order;
     returns (x, basis values, R, density) per abscissa, in the order given.
 
@@ -342,9 +346,11 @@ def trajectory(params: WishartParams, xs: Sequence[float],
     eigenvalues descending, C-order over {0,1,2}^m.  R = d/dx det(E), with
     E_ij = H^{n-j}_N(x, lam_i), is the bordered divided-difference
     determinant times the signed Vandermonde product, a multiplication that
-    gives zero at repeated eigenvalues.  The abscissa x = 0 gives zeros.
+    gives zero at repeated eigenvalues; basis values or an R past float range
+    raise ``NumericFailure``.  The abscissa x = 0 gives zeros.
     """
     m, lam = params.m, params.lambdas
+    sys = PfaffianSystem(params.n, m)
     mu = lam[::-1]
     vandermonde = math.prod(b - a for a, b in itertools.combinations(lam, 2))
     # Newton form f(mu_i) = sum_k f[mu_1..mu_k] prod_{t<k} (mu_i - mu_t): for
@@ -353,10 +359,13 @@ def trajectory(params: WishartParams, xs: Sequence[float],
                        for i in reversed(range(m))])
 
     def rows(x):
-        w = _march(params, x)
+        w = _march(sys, params, x)
         basis = [functools.reduce(np.kron, b) for b in newton @ w[:, :, m - 1:]]  # b0 = F_m
-        dets = _dx_dets(params, x, w)
-        return list(zip(basis, (vandermonde * dets).tolist(), _fronted_dets(params, dets)))
+        dets = _marched_dets(params, x, w, True)
+        R = vandermonde * dets[0] * np.exp(dets[1])
+        if not (np.isfinite(R).all() and np.isfinite(basis).all()):
+            raise NumericFailure("the hgm dump's basis values or R left float range")
+        return list(zip(basis, R.tolist(), _fronted(params, dets, _front(params))))
 
     return [(x, *row) for x, row in zip(xs, _on_positive(list(xs), (np.zeros(3 ** m), 0.0, 0.0), rows))]
 

@@ -34,8 +34,8 @@ class TestPointCommands:
                                                                           rel=1e-8)
 
     def test_quadrature_refusal_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "cdf", "--n", "5", "--m", "3", "--lambda", "500,400,300",
-                                 "--x", "450", "--method", "quadrature")
+        code, out, err = run_cli(capsys, "cdf", "--n", "4", "--m", "2", "--lambda", "900,800",
+                                 "--x", "1000", "--method", "quadrature")
         assert code == 2 and out == ""
         assert "float range" in err
 
@@ -68,6 +68,13 @@ class TestPointCommands:
                                "--x", "2", "--method", "conjecture")
         assert code == 1 and "experimental" in err
 
+    def test_method_all_m5_density_leaves_out_conjecture(self, capsys):
+        # the conjecture route stops at m = 4: "all" runs the others
+        code, out, _ = run_cli(capsys, "pdf", "--n", "6", "--m", "5", "--lambda", "1,0.8,0.6,0.4,0.2",
+                               "--x", "3", "--method", "all", "--order", "1")
+        assert code == 0
+        assert [ln.split(",")[2] for ln in out.strip().splitlines()[1:]] == ["quadrature", "series", "hgm"]
+
     def test_zero_lambda_all_routes(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--n", "4", "--m", "2",
                                "--lambda", "2,0", "--x", "5", "--method", "all")
@@ -92,6 +99,20 @@ class TestPointCommands:
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(7.5546294798066441e-49, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("kind,value", [("pdf", 7.5622995119967871e-64),
+                                            ("cdf", 9.5056189668653353e-65)], ids=["pdf", "cdf"])
+    def test_ill_conditioned_hgm_rows_are_summed_in_decimals(self, capsys, kind, value):
+        # the hgm rows' Skeel condition numbers are about 5e7 (density) and 7e7
+        # (CDF): that abscissa is summed again in decimals, as quadrature's is
+        code, out, _ = run_cli(capsys, kind, "--n", "6", "--m", "4", "--lambda",
+                               "66.721,66.721,60.163,56.964", "--x", "9.04", "--method", "all",
+                               "--order", "3")
+        assert code == 0
+        rows = {r[2]: float(r[1]) for r in (ln.split(",") for ln in out.strip().splitlines()[1:])}
+        assert list(rows) == ["quadrature", "series", "hgm"]
+        assert rows["hgm"] == pytest.approx(rows["quadrature"], rel=1e-12, abs=0)
+        assert rows["hgm"] == pytest.approx(value, rel=1e-12, abs=0)
 
     def test_err_estimate_propagates_unexpected_errors(self, capsys, monkeypatch):
         # only the errors a route raises for inputs it does not serve mean
@@ -170,9 +191,9 @@ class TestTable:
         assert out.splitlines()[0] == "x,cdf_quadrature,cdf_series,cdf_hgm"
 
     def test_one_refused_abscissa_exits_2(self, capsys):
-        # quadrature serves x = 50 and refuses x = 450 at these eigenvalues
-        code, out, err = run_cli(capsys, "table", "--n", "5", "--m", "3", "--lambda", "500,400,300",
-                                 "--x-min", "50", "--x-max", "450", "--points", "2", "--what", "cdf")
+        # quadrature serves x = 50 and refuses x = 1000 at these eigenvalues
+        code, out, err = run_cli(capsys, "table", "--n", "4", "--m", "2", "--lambda", "900,800",
+                                 "--x-min", "50", "--x-max", "1000", "--points", "2", "--what", "cdf")
         assert code == 2 and out == ""
         assert "float range" in err
 
@@ -223,6 +244,13 @@ class TestHgmDump:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert "bad grid" in err and out == ""
+
+    def test_r_past_float_range_exits_2(self, capsys):
+        # sum lam = 1100: the density is served, the unfronted R is not
+        code, out, err = run_cli(capsys, "hgm", "--n", "4", "--m", "2", "--lambda", "600,500",
+                                 "--x-min", "600", "--x-max", "640", "--points", "2")
+        assert code == 2 and out == ""
+        assert "left float range" in err
 
     def test_psi_matches_table_sweep(self, capsys):
         common = ("--n", "4", "--m", "2", "--lambda", "2,1",
@@ -320,21 +348,12 @@ class TestNumericFailureExit:
         assert "numeric failure" in err
 
     def test_float_range_refusal_is_numeric_failure(self, capsys):
-        # the m = 2 conjecture's determinant leaves float range here; no row is printed
-        code, out, err = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "500,400",
-                                 "--x", "540", "--method", "conjecture")
+        # the rows themselves leave float range here (max lam = 900); no row is printed
+        code, out, err = run_cli(capsys, "pdf", "--n", "4", "--m", "2", "--lambda", "900,800",
+                                 "--x", "1000")
         assert code == 2
         assert out == ""
         assert "numeric failure" in err and "left float range" in err
-
-    @pytest.mark.parametrize("kind", ["pdf", "cdf"])
-    def test_ill_conditioned_hgm_rows_are_refused(self, capsys, kind):
-        # the rows' Skeel condition numbers are about 5e7 (density) and 7e7 (CDF):
-        # unscreened, the density was 2.5e-9 off quadrature's under the default --tol
-        code, out, err = run_cli(capsys, kind, "--n", "6", "--m", "4", "--lambda",
-                                 "66.721,66.721,60.163,56.964", "--x", "9.04", "--method", "hgm")
-        assert code == 2 and out == ""
-        assert "numeric failure" in err and "condition number" in err
 
     def test_nan_value_is_numeric_failure(self, capsys, monkeypatch):
         from wishart_roots import distribution as dist
@@ -487,3 +506,29 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, tmp_path, monkeypatch):
         fresh = subprocess.run([sys.executable, "-m", "wishart_roots.cli", *argv],
                                capture_output=True, text=True)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_method_all_contract_sweep(capsys):
+    # one route's refusal must not cost a --method all call its other rows:
+    # every call serves, every value is finite, hgm appears iff n > m and the
+    # conjecture for the density only
+    import math
+
+    lams = {1: ["1.3", "0"], 2: ["2,0.6", "1.5,1.5", "2,0"], 3: ["3,1.7,0.4", "2,2,0.5", "1.2,0.7,0"]}
+    calls = 0
+    for m, patterns in lams.items():
+        for n in (m, m + 1, m + 3):
+            for lam in patterns:
+                for x in ("0", "0.7", "5"):
+                    for kind in ("cdf", "pdf"):
+                        argv = [kind, "--n", str(n), "--m", str(m), "--lambda", lam, "--x", x,
+                                "--method", "all", "--order", "6"]
+                        code, out, err = run_cli(capsys, *argv)
+                        assert code == 0 and err == "", argv
+                        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+                        assert rows and all(math.isfinite(float(r[1])) for r in rows), argv
+                        methods = [r[2] for r in rows]
+                        assert ("hgm" in methods) == (n > m), argv
+                        assert ("conjecture" in methods) == (kind == "pdf"), argv
+                        calls += 1
+    assert calls == 144

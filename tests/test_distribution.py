@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from wishart_roots.distribution import (
+    _log_conjecture_power,
     EvalConfig,
     Jet,
     NumericFailure,
@@ -13,7 +14,6 @@ from wishart_roots.distribution import (
     cdf,
     cdf_quadrature,
     cdf_series,
-    conjecture_front_factor,
     eq35_value,
     g_function,
     g_jet,
@@ -22,7 +22,6 @@ from wishart_roots.distribution import (
     p_residual,
     pdf,
     pdf_conjecture,
-    pdf_m2_closed,
     pdf_quadrature,
     pdf_series,
     q_residual,
@@ -310,7 +309,7 @@ class TestConjecture:
         n = 5
         x = 2.0
         expect = x ** (2 * n - 2) * math.exp(-2 * x) / (n * (n - 1))
-        assert conjecture_front_factor(n, 2, x) == pytest.approx(expect, rel=1e-12)
+        assert math.exp(_log_conjecture_power(n, 2, x) - 2 * x) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_m2_routes_agree(self, n):
@@ -320,7 +319,6 @@ class TestConjecture:
                 a = pdf_quadrature(p, x, CFG)
                 if abs(a) < 1e-280:
                     continue
-                assert pdf_m2_closed(p, x) == pytest.approx(a, rel=1e-8)
                 assert pdf_conjecture(p, x, CFG) == pytest.approx(a, rel=1e-8)
 
     def test_m2_confluent_matches_lhospital_limit(self):
@@ -365,13 +363,13 @@ class TestConjecture:
         assert pdf_conjecture(p, 3.0, cfg4) == pytest.approx(a, rel=1e-6)
 
     def test_nonfinite_value_raises(self):
-        # the conjecture determinant leaves float range at this large-lam
-        # point; the route and the dispatch refuse it rather than returning it
-        p = WishartParams(5, 3, (400.0, 300.0, 200.0))
-        with pytest.raises(NumericFailure):
-            pdf_conjecture(p, 480.0, CFG)
-        with pytest.raises(NumericFailure):
-            pdf(p, 480.0, EvalConfig(method="conjecture"))
+        # the conjecture's rows leave float range at this large-lam point; the
+        # route and the dispatch refuse it rather than returning it
+        p = WishartParams(4, 2, (900.0, 800.0))
+        with pytest.raises(NumericFailure, match="left float range"):
+            pdf_conjecture(p, 600.0, CFG)
+        with pytest.raises(NumericFailure, match="left float range"):
+            pdf(p, 600.0, EvalConfig(method="conjecture"))
 
     # references from bench/oracle.py, the last two at 400 digits
     FAR_TAIL = {
@@ -681,23 +679,46 @@ class TestQuadratureReference:
         assert (cdf(p, x, CFG), pdf(p, x, CFG)) == pytest.approx(want, rel=1e-13)
         assert len(built) == 2 and all(t.values.shape[1] > 2 for t in built)
 
-    def test_ill_conditioned_rows_are_summed_in_decimals(self):
-        from wishart_roots.distribution import (COND_LIMIT, _det_cond, _h_coefs, _tails, _terms,
-                                                divided_rows)
+    def test_ill_conditioned_rows_are_summed_in_decimals(self, monkeypatch):
+        # condition number ~2e8 (above COND_LIMIT): both determinants are
+        # taken again from decimal rows, and the values meet the reference
+        import wishart_roots.distribution as dist
 
-        p = WishartParams(8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673,
-                                 136.70859285557685))
-        x = np.array([24.969317566358836])
-        tails = _tails(p, x)
-        rows = divided_rows(lambda terms: _h_coefs(p, tails, terms, 4), p.lambdas, _terms(p, x[0]))
-        assert _det_cond(rows)[1][0] > COND_LIMIT
+        point = (8, 4, (206.47799137197518, 194.0881690023807, 162.7252467700673,
+                        136.70859285557685), 24.969317566358836)
+        original, resums = dist._decimals, []
+        monkeypatch.setattr(dist, "_decimals", lambda a: resums.append(len(a)) or original(a))
+        self._check(*point, self.FIXED[point])
+        assert len(resums) >= 2
 
     def test_refusal_where_the_determinant_leaves_float_range(self):
-        # true values (0.00934465968112662, 0.0009455191644886697): sum lam = 1200
-        p = WishartParams(5, 3, (500.0, 400.0, 300.0))
+        # max lam = 900: the H-series coefficients themselves overflow
+        p = WishartParams(4, 2, (900.0, 800.0))
         for fn in (cdf, pdf, cdf_quadrature, pdf_quadrature):
-            with pytest.raises(NumericFailure):
-                fn(p, 450.0, CFG)
+            with pytest.raises(NumericFailure, match="left float range"):
+                fn(p, 1000.0, CFG)
+
+    # sum lam = 1200, 1100, 900 and 1400: e^{-sum lam} underflows and the
+    # rows' determinant overflows, the value does neither; references from
+    # bench/oracle.py's _evaluate at 400 digits
+    LARGE_SUM = {
+        (5, 3, (500.0, 400.0, 300.0), 450.0): (0.00934465968112662, 0.0009455191644886697),
+        (4, 2, (600.0, 500.0), 640.0): (0.7769225312888566, 0.00867137711118931),
+        (4, 2, (500.0, 400.0), 540.0): (0.8121822656260422, 0.008466587383394127),
+        (6, 4, (500.0, 400.0, 300.0, 200.0), 900.0): (1.0, 3.001129751462607e-26),
+    }
+
+    @pytest.mark.parametrize("point,method", [(q, r) for q in LARGE_SUM
+                                              for r in ("quadrature", "hgm", "conjecture")
+                                              if r != "conjecture" or q[1] < 4],
+                             ids=lambda v: v if isinstance(v, str) else f"{v[:2]}-x{v[3]:g}")
+    def test_large_sum_of_eigenvalues(self, point, method):
+        # the conjecture gives the density only, and not at m = 4, x > 700
+        p, cfg = WishartParams(*point[:3]), EvalConfig(method=method)
+        want_cdf, want_pdf = self.LARGE_SUM[point]
+        if method != "conjecture":
+            assert cdf(p, point[3], cfg) == pytest.approx(want_cdf, rel=1e-12, abs=0)
+        assert pdf(p, point[3], cfg) == pytest.approx(want_pdf, rel=1e-12, abs=0)
 
     @pytest.fixture(scope="class")
     def oracle(self):

@@ -144,13 +144,13 @@ class TestSystem:
         sys = PfaffianSystem(n, m)
         for x in (0.3, 1.0, X0 - 0.3):
             h = 1e-5 * x
-            fd = (initial_state(p, x + h, CFG).values - initial_state(p, x - h, CFG).values) / (2 * h)
-            got = sys.rhs(x, initial_state(p, x, CFG).values, sorted(lams))
+            fd = (initial_state(p, x + h).values - initial_state(p, x - h).values) / (2 * h)
+            got = sys.rhs(x, initial_state(p, x).values, sorted(lams))
             assert got == pytest.approx(fd, rel=1e-7, abs=0)
 
     def test_initial_state_matches_quadrature(self, h_quad):
         p = WishartParams(4, 1, (1.0,))
-        st = initial_state(p, 0.5, CFG)
+        st = initial_state(p, 0.5)
         N = 4
         assert st.values.shape == (3,)
         for a in (0, 1, 2):
@@ -163,7 +163,7 @@ class TestSystem:
         # eigenvalues of (H^{n-1}_N .. H^{n-m}_N, s hpg01(N; x y), s hpg01(N+1; x y)),
         # s = x^N e^{-x}
         p = WishartParams(5, 3, (3.0, 2.0, 1.0))
-        st = initial_state(p, 0.5, CFG)
+        st = initial_state(p, 0.5)
         assert st.values.shape == (15,)
         s = 0.5 ** 3 * math.exp(-0.5)
 
@@ -179,7 +179,7 @@ class TestSystem:
         from wishart_roots.special_fn import incomplete_gamma
 
         p = WishartParams(3, 1, (0.0,))
-        st = initial_state(p, 0.5, CFG)
+        st = initial_state(p, 0.5)
         N = 3
         assert st.values[0] == pytest.approx(incomplete_gamma(N, 0.5), rel=1e-12)
         assert st.values[1:] == pytest.approx([0.5 ** N * math.exp(-0.5)] * 2, rel=1e-15)
@@ -187,8 +187,8 @@ class TestSystem:
     def test_zero_length_integration(self):
         p = WishartParams(4, 2, (2.0, 1.0))
         sys = PfaffianSystem(4, 2)
-        st = initial_state(p, 0.5, CFG)
-        out = hgm_integrate(sys, st, 0.5, p.lambdas, CFG)
+        st = initial_state(p, 0.5)
+        out = hgm_integrate(sys, st, 0.5, p.lambdas)
         assert np.array_equal(out.values, st.values)
 
     def test_m1_component_against_direct(self):
@@ -196,16 +196,16 @@ class TestSystem:
         # match its closed form
         p = WishartParams(4, 1, (1.0,))
         sys = PfaffianSystem(4, 1)
-        st = initial_state(p, 0.5, CFG)
-        out = hgm_integrate(sys, st, 5.0, p.lambdas, CFG)
+        st = initial_state(p, 0.5)
+        out = hgm_integrate(sys, st, 5.0, p.lambdas)
         assert out.values == pytest.approx([basis_value(4, a, 5.0, 1.0) for a in range(3)], rel=1e-12)
 
     def test_reversibility_under_tolerance(self):
         p = WishartParams(4, 2, (2.0, 1.0))
         sys = PfaffianSystem(4, 2)
-        st = initial_state(p, 0.5, CFG)
-        fwd = hgm_integrate(sys, st, 2.0, p.lambdas, CFG)
-        back = hgm_integrate(sys, fwd, 0.5, p.lambdas, CFG)
+        st = initial_state(p, 0.5)
+        fwd = hgm_integrate(sys, st, 2.0, p.lambdas)
+        back = hgm_integrate(sys, fwd, 0.5, p.lambdas)
         rel = np.abs(back.values - st.values) / np.abs(st.values)
         assert np.max(rel) < 1e-12
 
@@ -257,7 +257,7 @@ class TestExtraction:
         coeffs = extraction_vector_dx(p, extraction_vector(p))
         dx_coeffs = extraction_vector_dx(p, coeffs)
         h = 1e-5
-        dn, mid, up = trajectory(p, [0.9 - h, 0.9, 0.9 + h], CFG)
+        dn, mid, up = trajectory(p, [0.9 - h, 0.9, 0.9 + h])
         fd = (eval_extraction(coeffs, up[0], up[1], p.lambdas)
               - eval_extraction(coeffs, dn[0], dn[1], p.lambdas)) / (2 * h)
         analytic = eval_extraction(dx_coeffs, mid[0], mid[1], p.lambdas)
@@ -273,7 +273,7 @@ class TestExtraction:
         coeffs = extraction_vector(p)
         if what == "R":
             coeffs = extraction_vector_dx(p, coeffs)
-        for x, values, R, _ in trajectory(p, [2.0, 6.0, 12.0], CFG):
+        for x, values, R, _ in trajectory(p, [2.0, 6.0, 12.0]):
             E = [[h_eval(HIndex(n - j, 0, n - m + 1), x, lam) for j in range(1, m + 1)] for lam in lams]
             value = R if what == "R" else np.linalg.det(E)
             assert value == pytest.approx(eval_extraction(coeffs, x, values, p.lambdas), rel=1e-7)
@@ -295,7 +295,7 @@ class TestDistributionValues:
 
     def test_trajectory_consistency(self):
         p = WishartParams(4, 2, (2.0, 1.0))
-        rows = trajectory(p, [1.0, 2.0, 4.0, 6.0], CFG)
+        rows = trajectory(p, [1.0, 2.0, 4.0, 6.0])
         assert [r[0] for r in rows] == [1.0, 2.0, 4.0, 6.0]
         for x, values, R, psi in rows:
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-6)
@@ -327,7 +327,7 @@ class TestDistributionValues:
                 assert pdf_hgm(p, x, CFG) == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
                 assert cdf_hgm(p, x, CFG) == pytest.approx(cdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
             # det(E) over the plain rows is the Vandermonde times the divided one
-            assert [row[2] for row in trajectory(p, [0.5, 3.0], CFG)] == [0.0, 0.0]
+            assert [row[2] for row in trajectory(p, [0.5, 3.0])] == [0.0, 0.0]
 
     @pytest.mark.parametrize("route,ref", [(pdf_hgm, pdf_quadrature), (cdf_hgm, cdf_quadrature)],
                              ids=["R", "F"])
@@ -354,22 +354,45 @@ class TestDistributionValues:
         # to the relative tolerance all the way
         p = WishartParams(n, m, lams)
         xs = list(np.linspace(x_min, 150.0, 40))
-        for x, _, _, psi in trajectory(p, xs, CFG):
+        for x, _, _, psi in trajectory(p, xs):
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("lams", [(3.0, 2.0, 1.0), (1.2, 0.7, 0.2)])
     def test_small_x_matches_quadrature(self, lams):
         # abscissas up to X0 come from the series start, the rest integrate
         p = WishartParams(5, 3, lams)
-        for x, _, _, psi in trajectory(p, list(np.linspace(0.5, 3.0, 11)), CFG):
+        for x, _, _, psi in trajectory(p, list(np.linspace(0.5, 3.0, 11))):
             assert psi == pytest.approx(pdf_quadrature(p, x, CFG), rel=1e-8, abs=0)
 
     def test_basis_values_are_tensor_products(self):
         p = WishartParams(5, 3, (3.0, 2.0, 1.0))
-        (x, values, _, _), = trajectory(p, [4.0], CFG)
+        (x, values, _, _), = trajectory(p, [4.0])
         per_slot = [[basis_value(3, a, x, lam) for a in range(3)] for lam in p.lambdas]
         assert values == pytest.approx(functools.reduce(np.kron, per_slot), rel=1e-8, abs=0)
 
+    @pytest.mark.parametrize("n,m,lams,xs", [(4, 2, (400.0, 300.0), [3.0, 40.0, 900.0]),
+                                             (4, 2, (2.0, 1.0), [0.7, 760.0]),
+                                             (5, 3, (3.0, 2.0, 2.0), [0.5, 6.0, 30.0])])
+    def test_decimal_resum_matches_the_marched_rows(self, monkeypatch, n, m, lams, xs):
+        # every abscissa through the decimal re-sum of the series start, whose
+        # b1 column completes e^{-x} past PDF_SHIFT in decimals (x = 760, 900)
+        import wishart_roots.distribution as dist
+
+        p = WishartParams(n, m, lams)
+        marched = pdf_hgm(p, xs, CFG), cdf_hgm(p, xs, CFG)
+        monkeypatch.setattr(dist, "COND_LIMIT", -1.0)
+        resummed = pdf_hgm(p, xs, CFG), cdf_hgm(p, xs, CFG)
+        assert all(v > 0 for v in marched[0])
+        for a, b in zip(marched, resummed):
+            assert b == pytest.approx(a, rel=1e-11, abs=0)
+
     def test_n_equal_m_rejected(self):
-        with pytest.raises(ValueError):
-            pdf_hgm(WishartParams(2, 2, (2.0, 1.0)), 2.0, CFG)
+        # at every abscissa, x = 0 included
+        for p in (WishartParams(2, 2, (2.0, 1.0)), WishartParams(1, 1, (1.0,))):
+            for x in (2.0, 0.0, [0.0, 2.0]):
+                for fn in (pdf_hgm, cdf_hgm):
+                    with pytest.raises(ValueError):
+                        fn(p, x, CFG)
+            for xs in ([0.0], [2.0]):
+                with pytest.raises(ValueError):
+                    trajectory(p, xs)
